@@ -1,9 +1,9 @@
 # Mirrors .github/workflows/ci.yml — `make ci` is exactly the CI gate.
 CARGO ?= cargo
 
-.PHONY: ci lint fmt build test bench doc example smoke gate quality snapshot clean
+.PHONY: ci lint fmt build specbench test bench doc example smoke gate quality snapshot clean
 
-ci: lint build test bench doc example
+ci: lint build specbench test bench doc example
 
 lint:
 	$(CARGO) fmt --all --check
@@ -14,6 +14,11 @@ fmt:
 
 build:
 	$(CARGO) build --release --workspace
+
+# The benchmark package builds against the crates by path; a workspace API
+# change that breaks it fails here.
+specbench:
+	$(CARGO) build --release --offline --manifest-path specbench/Cargo.toml
 
 test:
 	SPECQP_EXEC=row $(CARGO) test -q --workspace

@@ -1,10 +1,12 @@
 //! Microbench: PLANGEN end-to-end planning latency per query (warm
-//! statistics), and the exact-oracle vs independence-estimator cardinality
-//! ablation. This is the "additional time spent on speculative planning"
-//! visible in Figures 7/9 when every pattern ends up relaxed.
+//! statistics), cold planning of whole workloads (fresh statistics and
+//! cardinality memos, as after every live-write epoch), and the
+//! exact-oracle vs independence-estimator cardinality ablation. This is the
+//! "additional time spent on speculative planning" visible in Figures 7/9
+//! when every pattern ends up relaxed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use datagen::{XkgConfig, XkgGenerator};
+use datagen::{TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
 use relax::RelaxationRegistry;
 use specqp::plan_query;
 use specqp_stats::{
@@ -63,6 +65,40 @@ fn bench_planner(c: &mut Criterion) {
                 })
             },
         );
+    }
+    group.finish();
+
+    // Cold planning: every iteration plans the whole workload (k = 10) on a
+    // fresh catalog and oracle, so pattern statistics, key-count maps and
+    // join counts are all recomputed — the cost a live engine pays after
+    // each commit. Maps are shared across the queries of one iteration,
+    // as they are within one epoch.
+    let twitter = TwitterGenerator::new(TwitterConfig::small(0x91a)).generate();
+    let mut group = c.benchmark_group("plangen_cold");
+    for (name, data) in [("xkg_small", &ds), ("twitter_small", &twitter)] {
+        group.bench_function(format!("{name}_workload"), |b| {
+            b.iter(|| {
+                let catalog = StatsCatalog::new();
+                let exact = ExactCardinality::new();
+                data.workload
+                    .queries
+                    .iter()
+                    .map(|q| {
+                        plan_query(
+                            &data.graph,
+                            q,
+                            10,
+                            &catalog,
+                            &exact,
+                            &data.registry,
+                            RefitMode::TwoBucket,
+                            false,
+                        )
+                        .relaxed_count()
+                    })
+                    .sum::<usize>()
+            })
+        });
     }
     group.finish();
 

@@ -62,7 +62,7 @@ enum PinnedInner<'e> {
     /// A version published by a [`LiveGraph`]: the `Arc` keeps this exact
     /// version alive for as long as the pin is held, even if writers commit
     /// (or compaction folds the delta) concurrently.
-    Versioned(Arc<KnowledgeGraph>, Epoch),
+    Versioned(Arc<KnowledgeGraph>),
 }
 
 /// A graph version pinned for the duration of one engine call.
@@ -84,7 +84,7 @@ impl Deref for PinnedGraph<'_> {
     fn deref(&self) -> &KnowledgeGraph {
         match &self.inner {
             PinnedInner::Static(g) => g,
-            PinnedInner::Versioned(g, _) => g,
+            PinnedInner::Versioned(g) => g,
         }
     }
 }
@@ -92,10 +92,7 @@ impl Deref for PinnedGraph<'_> {
 impl PinnedGraph<'_> {
     /// The epoch this pin observes ([`Epoch::ZERO`] for immutable graphs).
     pub fn epoch(&self) -> Epoch {
-        match &self.inner {
-            PinnedInner::Static(_) => Epoch::ZERO,
-            PinnedInner::Versioned(_, e) => *e,
-        }
+        KnowledgeGraph::epoch(self)
     }
 }
 
@@ -425,7 +422,7 @@ impl<'g> Engine<'g> {
                 let (graph, epoch) = live.pinned();
                 self.observe_epoch(epoch);
                 PinnedGraph {
-                    inner: PinnedInner::Versioned(graph, epoch),
+                    inner: PinnedInner::Versioned(graph),
                 }
             }
         }
@@ -439,8 +436,8 @@ impl<'g> Engine<'g> {
     fn observe_epoch(&self, epoch: Epoch) {
         let prev = self.last_epoch.fetch_max(epoch.value(), Ordering::AcqRel);
         if prev < epoch.value() {
-            self.catalog.invalidate_stats();
-            self.cardinality.invalidate();
+            self.cardinality.invalidate(epoch);
+            self.catalog.invalidate_stats(epoch);
         }
     }
 
@@ -482,7 +479,9 @@ impl<'g> Engine<'g> {
     /// it took: a plan-cache lookup first (generation-checked against the
     /// statistics feedback ledger, so plans older than the latest refit —
     /// or estimated against an older epoch — are re-planned), with PLANGEN
-    /// run (and the result cached) on a miss.
+    /// run (and the result cached) on a miss. A call whose pin a concurrent
+    /// call has already outdated plans against its own version but does not
+    /// cache the plan.
     pub fn plan(&self, query: &Query, k: usize) -> (QueryPlan, Duration) {
         let graph = self.pin();
         self.plan_on(&graph, query, k)
@@ -505,7 +504,14 @@ impl<'g> Engine<'g> {
             self.config.refit,
             self.config.learned,
         );
-        self.plan_cache.insert(shape, plan.clone(), generation);
+        // A pin older than the newest observed epoch (a query pinned before
+        // a commit another call has already seen) must not publish its plan
+        // to the newer epoch. Generation first, staleness second: the epoch
+        // edge raises `last_epoch` before it bumps the generation, so a pin
+        // that is not stale here read a generation the bump will outdate.
+        if graph.epoch().value() >= self.last_epoch.load(Ordering::Acquire) {
+            self.plan_cache.insert(shape, plan.clone(), generation);
+        }
         (plan, t0.elapsed())
     }
 
@@ -1585,6 +1591,61 @@ mod tests {
         let gen1 = engine.catalog().generation();
         let _ = engine.run_specqp(&q, 10);
         assert_eq!(engine.catalog().generation(), gen1);
+    }
+
+    /// A query pinned before a commit that another call has already
+    /// observed plans against its own version, but publishes nothing —
+    /// no pattern statistics, no cardinalities, no plan — to the newer
+    /// epoch: afterwards the new epoch plans exactly like a fresh engine.
+    #[test]
+    fn stale_pin_never_publishes_to_the_new_epoch() {
+        use kgstore::{LiveGraph, WriteBatch};
+
+        let mut b = KnowledgeGraphBuilder::new();
+        for i in 0..10 {
+            b.add(&format!("e{i}"), "type", "a", 10.0);
+        }
+        for i in 0..5 {
+            b.add(&format!("f{i}"), "type", "b", 10.0);
+        }
+        let g = b.build();
+        let d = g.dictionary();
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::with_context(
+            Position::Object,
+            d.lookup("a").unwrap(),
+            d.lookup("b").unwrap(),
+            0.5,
+            d.lookup("type").unwrap(),
+        ));
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <a> }", d).unwrap();
+        let reg = Arc::new(reg);
+        let live = Arc::new(LiveGraph::new(g));
+        let engine = Engine::live(Arc::clone(&live), Arc::clone(&reg));
+
+        // Pin epoch 0, commit, pin epoch 1 (observing the commit).
+        let old = engine.graph();
+        let mut batch = WriteBatch::new();
+        for i in 1..10 {
+            batch.retract(&format!("e{i}"), "type", "a");
+        }
+        live.commit(&batch);
+        let new = engine.graph();
+        assert_eq!((old.epoch().value(), new.epoch().value()), (0, 1));
+
+        // The old pin misses the empty plan cache and plans against epoch 0,
+        // where `a` alone fills k = 3 and its relaxation is pruned…
+        let (stale, _) = engine.plan_on(&old, &q, 3);
+        assert!(!stale.is_relaxed(0));
+        // …and leaves no trace behind.
+        assert_eq!(engine.catalog().len(), 0, "no epoch-0 statistics cached");
+        assert_eq!(engine.plan_cache().len(), 0, "no epoch-0 plan cached");
+
+        // Epoch 1 has one `a` left, so its plan needs the relaxation.
+        let fresh = Engine::shared(Arc::new(new.flattened()), reg);
+        let (plan, _) = engine.plan(&q, 3);
+        assert_eq!(plan, fresh.plan(&q, 3).0);
+        assert!(plan.is_relaxed(0));
     }
 
     #[test]

@@ -319,8 +319,9 @@ impl DeltaStore {
 
     /// Freezes the current delta state into a published version: compacts
     /// the alive rows into fresh local ids, indexes them, and materializes
-    /// the merged global scan list.
-    fn freeze_version(&self) -> KnowledgeGraph {
+    /// the merged global scan list, stamped with the `epoch` it will be
+    /// published under.
+    fn freeze_version(&self, epoch: Epoch) -> KnowledgeGraph {
         let mut cols = TripleColumns::new();
         cols.reserve(self.alive_count as usize);
         for i in 0..self.rows.len() {
@@ -373,7 +374,7 @@ impl DeltaStore {
             masked_count: self.masked_count,
             all,
         };
-        KnowledgeGraph::overlay_version(&self.base, self.dict.clone(), overlay)
+        KnowledgeGraph::overlay_version(&self.base, self.dict.clone(), overlay, epoch)
     }
 
     /// `true` when there is literally nothing to fold — no alive delta
@@ -384,9 +385,10 @@ impl DeltaStore {
             && self.dict.len() == self.base.dictionary().len()
     }
 
-    /// Folds the overlay into a new flat base and restarts empty on it.
-    fn compact_into_base(&mut self) -> Arc<KnowledgeGraph> {
-        let folded = Arc::new(self.freeze_version().flattened());
+    /// Folds the overlay into a new flat base (stamped with `epoch`) and
+    /// restarts empty on it.
+    fn compact_into_base(&mut self, epoch: Epoch) -> Arc<KnowledgeGraph> {
+        let folded = Arc::new(self.freeze_version(epoch).flattened());
         *self = DeltaStore::new(Arc::clone(&folded));
         folded
     }
@@ -464,10 +466,14 @@ impl LiveGraph {
     /// An overlay-carrying `base` is flattened first.
     pub fn with_policy(base: KnowledgeGraph, policy: CompactionPolicy) -> Self {
         let base = if base.has_overlay() {
-            Arc::new(base.flattened())
+            base.flattened()
         } else {
-            Arc::new(base)
+            base
         };
+        let base = Arc::new(KnowledgeGraph {
+            epoch: Epoch::ZERO,
+            ..base
+        });
         LiveGraph {
             writer: Mutex::new(DeltaStore::new(Arc::clone(&base))),
             current: RwLock::new((base, Epoch::ZERO)),
@@ -500,16 +506,23 @@ impl LiveGraph {
         }
         let should_compact = w.alive_count as usize >= self.policy.max_delta_rows
             || w.masked_count as usize >= self.policy.max_masked_rows;
+        // Only writers publish, and they hold `writer`: the next epoch is
+        // fixed before the version is built, so the version carries it.
+        let epoch = self.epoch().next();
         let graph = if should_compact {
             self.compactions.fetch_add(1, Ordering::Relaxed);
-            w.compact_into_base()
+            w.compact_into_base(epoch)
         } else {
-            Arc::new(w.freeze_version())
+            Arc::new(w.freeze_version(epoch))
         };
-        let mut cur = self.current.write().expect("live graph lock poisoned");
-        let epoch = cur.1.next();
-        *cur = (graph, epoch);
+        self.publish(graph, epoch);
         epoch
+    }
+
+    fn publish(&self, graph: Arc<KnowledgeGraph>, epoch: Epoch) {
+        let mut cur = self.current.write().expect("live graph lock poisoned");
+        debug_assert_eq!(cur.1.next(), epoch, "publish out of order");
+        *cur = (graph, epoch);
     }
 
     /// Forces a compaction: folds the current overlay into a new flat base
@@ -522,10 +535,9 @@ impl LiveGraph {
             return self.epoch();
         }
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        let graph = w.compact_into_base();
-        let mut cur = self.current.write().expect("live graph lock poisoned");
-        let epoch = cur.1.next();
-        *cur = (graph, epoch);
+        let epoch = self.epoch().next();
+        let graph = w.compact_into_base(epoch);
+        self.publish(graph, epoch);
         epoch
     }
 
@@ -587,6 +599,24 @@ mod tests {
             ]
         );
         assert_eq!(g.len(), 6);
+    }
+
+    /// Every published version carries the epoch it was published under —
+    /// through commits, compactions, and a re-wrap of a later version.
+    #[test]
+    fn versions_carry_their_epoch() {
+        let live = LiveGraph::new(base());
+        assert_eq!(live.pinned().0.epoch(), Epoch::ZERO);
+        let mut batch = WriteBatch::new();
+        batch.assert("d", "type", "singer", 7.0);
+        live.commit(&batch);
+        let epoch = live.compact();
+        assert_eq!(epoch, Epoch::new(2));
+        let (g, at) = live.pinned();
+        assert_eq!((g.epoch(), at), (epoch, epoch));
+        let flat = g.flattened();
+        assert_eq!(flat.epoch(), epoch);
+        assert_eq!(LiveGraph::new(flat).pinned().0.epoch(), Epoch::ZERO);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::columns::TripleColumns;
 use crate::index::{PatternIndexes, PostingRange};
+use crate::live::Epoch;
 use crate::pattern_key::{pack2, pack3, PatternKey, Signature};
 use crate::triple::{ScoredTriple, Triple};
 use specqp_common::Dictionary;
@@ -82,6 +83,7 @@ pub struct KnowledgeGraph {
     pub(crate) cols: Arc<TripleColumns>,
     pub(crate) indexes: Arc<PatternIndexes>,
     pub(crate) overlay: Option<OverlaySegment>,
+    pub(crate) epoch: Epoch,
 }
 
 static EMPTY: [u32; 0] = [];
@@ -113,6 +115,7 @@ impl KnowledgeGraph {
             cols: Arc::new(cols),
             indexes: Arc::new(indexes),
             overlay: None,
+            epoch: Epoch::ZERO,
         }
     }
 
@@ -122,6 +125,7 @@ impl KnowledgeGraph {
         base: &KnowledgeGraph,
         dict: Dictionary,
         overlay: OverlaySegment,
+        epoch: Epoch,
     ) -> Self {
         debug_assert!(base.overlay.is_none(), "overlay base must be flat");
         KnowledgeGraph {
@@ -129,7 +133,16 @@ impl KnowledgeGraph {
             cols: Arc::clone(&base.cols),
             indexes: Arc::clone(&base.indexes),
             overlay: Some(overlay),
+            epoch,
         }
+    }
+
+    /// The epoch this version was published under by its
+    /// [`LiveGraph`](crate::live::LiveGraph); [`Epoch::ZERO`] for graphs
+    /// built or loaded directly. Memo tables keyed on graph content use it to
+    /// tell versions apart.
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
     }
 
     /// The term dictionary.
@@ -419,8 +432,8 @@ impl KnowledgeGraph {
     /// Row order is base-then-delta, masked rows dropped; storage indexes
     /// are re-densified, which is invisible to queries (all ordering
     /// contracts are score-based). Flat graphs return a cheap `Arc`-sharing
-    /// copy. This is the compaction primitive and the snapshot-writer
-    /// normal form.
+    /// copy. The copy keeps this version's [`epoch`](Self::epoch). This is
+    /// the compaction primitive and the snapshot-writer normal form.
     ///
     /// [`flattened`]: specqp_common::Dictionary::flattened
     pub fn flattened(&self) -> KnowledgeGraph {
@@ -430,6 +443,7 @@ impl KnowledgeGraph {
                 cols: Arc::clone(&self.cols),
                 indexes: Arc::clone(&self.indexes),
                 overlay: None,
+                epoch: self.epoch,
             },
             Some(ov) => {
                 let mut cols = TripleColumns::new();
@@ -443,7 +457,10 @@ impl KnowledgeGraph {
                     cols.push(ov.cols.triple(i), ov.cols.score(i));
                 }
                 let indexes = PatternIndexes::build(&cols);
-                KnowledgeGraph::from_parts(self.dict.flattened(), cols, indexes)
+                KnowledgeGraph {
+                    epoch: self.epoch,
+                    ..KnowledgeGraph::from_parts(self.dict.flattened(), cols, indexes)
+                }
             }
         }
     }

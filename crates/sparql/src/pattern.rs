@@ -22,6 +22,22 @@ pub enum PatternShape {
     AllEqual,
 }
 
+impl PatternShape {
+    /// `true` when a triple with components `(s, p, o)` satisfies this
+    /// shape's variable equalities — the repeated-variable filter every
+    /// consumer of a raw match list must apply.
+    #[inline]
+    pub fn admits(self, s: TermId, p: TermId, o: TermId) -> bool {
+        match self {
+            PatternShape::Distinct => true,
+            PatternShape::SpEqual => s == p,
+            PatternShape::SoEqual => s == o,
+            PatternShape::PoEqual => p == o,
+            PatternShape::AllEqual => s == p && p == o,
+        }
+    }
+}
+
 /// A triple pattern 〈S,P,O〉 whose components are constants or variables.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TriplePattern {

@@ -27,7 +27,8 @@
 
 use crate::histogram::PatternStats;
 use crate::learned::{LearnedCounters, LearnedModels, LearnedObservation, QueryShapeKey};
-use kgstore::{KnowledgeGraph, PatternKey};
+use crate::memo::EpochMemo;
+use kgstore::{Epoch, KnowledgeGraph, PatternKey};
 use sparql::{StatsKey, TriplePattern};
 use specqp_common::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,10 +71,13 @@ impl SpeculationOutcome {
 /// Both maps are guarded by `RwLock`s so a catalog can be shared across
 /// query-service worker threads; concurrent stat misses on the same key both
 /// compute and the second insert is a harmless overwrite of an identical
-/// value (computation is deterministic).
+/// value (computation is deterministic). The statistics cache is
+/// epoch-stamped (see [`KnowledgeGraph::epoch`]): statistics computed from
+/// a graph version older than the cache's epoch are returned but never
+/// cached.
 #[derive(Default, Debug)]
 pub struct StatsCatalog {
-    cache: RwLock<FxHashMap<StatsKey, Option<PatternStats>>>,
+    cache: EpochMemo<StatsKey, Option<PatternStats>>,
     ledger: RwLock<FxHashMap<StatsKey, SpeculationOutcome>>,
     learned: RwLock<LearnedModels>,
     generation: AtomicU64,
@@ -228,27 +232,28 @@ impl StatsCatalog {
             .counters()
     }
 
-    /// Drops every cached [`PatternStats`] entry and bumps the generation.
+    /// Drops every cached [`PatternStats`] entry, moves the cache to
+    /// `epoch`, and bumps the generation.
     ///
     /// Called when the underlying graph *changes* — the engine invokes this
-    /// on observing a new [`Epoch`](kgstore::Epoch) from a live graph — so
-    /// cardinalities and score distributions are re-derived from the new
-    /// version on next use, and the generation bump makes the plan cache
+    /// on observing a new [`Epoch`] from a live graph — so score
+    /// distributions are re-derived from the new version on next use (and
+    /// statistics a query still pinned on an older version computes are
+    /// never cached again), and the generation bump makes the plan cache
     /// drop plans estimated against the old version on sight. The
     /// speculation ledger is deliberately **kept**: offender evidence is
     /// about pattern shapes, not a particular version, and drift is exactly
     /// when that evidence earns its keep. The **learned models** are
     /// dropped: their observations were drawn from the old version's score
     /// distributions, which a write batch may have reshaped arbitrarily.
-    pub fn invalidate_stats(&self) {
-        let mut cache = self.cache.write().expect("stats cache poisoned");
-        cache.clear();
+    pub fn invalidate_stats(&self, epoch: Epoch) {
+        self.cache.invalidate(epoch);
         self.learned
             .write()
             .expect("learned models poisoned")
             .clear();
-        // Bump while holding the cache lock so a concurrent planner never
-        // observes stale stats under the new generation.
+        // Bump after clearing, so a planner that reads the new generation
+        // finds the caches already cleared.
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -272,26 +277,23 @@ impl StatsCatalog {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.cache.read().expect("stats cache poisoned").len()
+        self.cache.len()
     }
 
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.read().expect("stats cache poisoned").is_empty()
+        self.len() == 0
     }
 
     /// Statistics for `pattern` over `graph` (computed and cached on first
     /// use). `None` when the pattern matches nothing.
     pub fn stats(&self, graph: &KnowledgeGraph, pattern: &TriplePattern) -> Option<PatternStats> {
         let key = pattern.stats_key();
-        if let Some(cached) = self.cache.read().expect("stats cache poisoned").get(&key) {
-            return *cached;
+        if let Some(cached) = self.cache.get(graph, &key) {
+            return cached;
         }
         let computed = Self::compute(graph, pattern);
-        self.cache
-            .write()
-            .expect("stats cache poisoned")
-            .insert(key, computed);
+        self.cache.insert(graph, key, computed);
         computed
     }
 
@@ -317,14 +319,7 @@ impl StatsCatalog {
             shape => {
                 let mut scores: Vec<f64> = Vec::new();
                 for (t, score) in list.iter_triples() {
-                    let keep = match shape {
-                        sparql::PatternShape::SpEqual => t.s == t.p,
-                        sparql::PatternShape::SoEqual => t.s == t.o,
-                        sparql::PatternShape::PoEqual => t.p == t.o,
-                        sparql::PatternShape::AllEqual => t.s == t.p && t.p == t.o,
-                        sparql::PatternShape::Distinct => true,
-                    };
-                    if keep {
+                    if shape.admits(t.s, t.p, t.o) {
                         scores.push(score.value());
                     }
                 }
@@ -534,7 +529,7 @@ mod tests {
 
         // An epoch change drops the models (their observations came from
         // the old version) and the predictions with them.
-        c.invalidate_stats();
+        c.invalidate_stats(Epoch::new(1));
         assert_eq!(c.learned_kth(&shape, 10), None);
         assert_eq!(c.learned_relaxed_best(&shape, &key, 10), None);
     }

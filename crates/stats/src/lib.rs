@@ -25,10 +25,13 @@
 //!    ([`order_stats`]).
 //!
 //! Join cardinalities come from a [`CardinalityEstimator`]; the default
-//! [`ExactCardinality`] oracle evaluates and caches true join counts, which
-//! is what the paper uses ("we have taken exact join selectivity values");
-//! [`IndependenceEstimator`] provides the classic System-R-style
-//! approximation for ablations.
+//! [`ExactCardinality`] oracle computes true join counts, which is what the
+//! paper uses ("we have taken exact join selectivity values"). It counts
+//! without materialising the join: per-pattern key-count maps, memoized per
+//! epoch, folded by a count-only join. [`IndependenceEstimator`] provides
+//! the classic System-R-style approximation for ablations. Every memo of
+//! the layer is epoch-stamped, so a query pinned on an older live-graph
+//! version never caches what it computed for newer ones.
 //!
 //! The catalog additionally keeps the **speculation feedback ledger**
 //! ([`SpeculationOutcome`]): per-pattern-shape mis-speculation verdicts
@@ -41,7 +44,9 @@ pub mod cardinality;
 pub mod catalog;
 pub mod estimator;
 pub mod histogram;
+mod key_counts;
 pub mod learned;
+mod memo;
 pub mod order_stats;
 pub mod piecewise;
 
