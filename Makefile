@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml — `make ci` is exactly the CI gate.
 CARGO ?= cargo
 
-.PHONY: ci lint fmt build specbench test bench doc example smoke gate quality snapshot clean
+.PHONY: ci lint fmt build specbench test bench doc example smoke gate quality snapshot loc clean
 
 ci: lint build specbench test bench doc example
 
@@ -26,7 +26,6 @@ test:
 	SPECQP_SPEC=fallback $(CARGO) test -q --workspace
 	SPECQP_EXEC=block SPECQP_MORSELS=4 $(CARGO) test -q --workspace
 	SPECQP_CHURN=1 $(CARGO) test -q --workspace
-	SPECQP_LEARNED=1 $(CARGO) test -q --workspace
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_server
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_service
@@ -43,19 +42,17 @@ example:
 
 # The weekly bench-smoke job in one command.
 smoke:
-	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --learned --json BENCH_probe.json
+	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --json BENCH_probe.json
 
 # The CI bench-regression job: probe the current tree, gate against the
 # committed baseline (3x noise tolerance), and check the snapshot speedup,
 # the block-executor speedup, the speculation quality floor, the wire
 # front-end's overload behavior (shed with RetryAfter, p99 bounded), the
 # morsel-parallel + snapshot v2 floors (answers bit-identical always; the 2x
-# speedup floor applies only when cores >= workers), the live-writes
-# churn floors (answers epoch-stable, post-compaction load >= 5x), and the
-# learned-prediction floors (cold engine byte-identical to histograms,
-# taught mis-speculation rate < 0.06 and <= static, overhead <= 1.25x).
+# speedup floor applies only when cores >= workers), and the live-writes
+# churn floors (answers epoch-stable, post-compaction load >= 5x).
 gate:
-	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --learned --json target/BENCH_current.json
+	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --json target/BENCH_current.json
 	$(CARGO) run --release -p bench --bin bench_gate -- regression BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- snapshot target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- block target/BENCH_current.json 1.3
@@ -63,7 +60,6 @@ gate:
 	$(CARGO) run --release -p bench --bin bench_gate -- overload BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- parallel target/BENCH_current.json 2 5
 	$(CARGO) run --release -p bench --bin bench_gate -- churn target/BENCH_current.json 5
-	$(CARGO) run --release -p bench --bin bench_gate -- learned target/BENCH_current.json 0.06 1.25
 
 # The speculation quality gate alone: precision@k vs TriniT must stay
 # >= 0.95 with the fallback lifecycle enabled, at <= 1.25x runtime overhead.
@@ -78,6 +74,14 @@ snapshot:
 	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --snapshot target/xkg.snap --json target/BENCH_snapshot.json
 	$(CARGO) run --release -p bench --bin bench_gate -- determinism target/BENCH_tsv.json target/BENCH_snapshot.json
 	$(CARGO) run --release -p bench --bin bench_gate -- snapshot target/BENCH_snapshot.json 3
+
+# Non-test Rust lines: every crates/*/src/**/*.rs file counted up to its
+# first `#[cfg(test)]`. tests/, benches/, vendor/ and specbench/ are not
+# counted.
+loc:
+	@find crates/*/src -name '*.rs' -print0 | xargs -0 awk \
+		'FNR == 1 { skip = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }' \
+		| awk '{ total += $$1 } END { print total }'
 
 clean:
 	$(CARGO) clean

@@ -30,7 +30,6 @@ fn bench_planner(c: &mut Criterion) {
             &exact,
             registry,
             RefitMode::TwoBucket,
-            false,
         );
         let _ = plan_query(
             &ds.graph,
@@ -40,7 +39,6 @@ fn bench_planner(c: &mut Criterion) {
             &indep,
             registry,
             RefitMode::TwoBucket,
-            false,
         );
     }
 
@@ -59,7 +57,6 @@ fn bench_planner(c: &mut Criterion) {
                         &exact,
                         registry,
                         RefitMode::TwoBucket,
-                        false,
                     )
                     .relaxed_count()
                 })
@@ -92,7 +89,6 @@ fn bench_planner(c: &mut Criterion) {
                             &exact,
                             &data.registry,
                             RefitMode::TwoBucket,
-                            false,
                         )
                         .relaxed_count()
                     })

@@ -9,7 +9,6 @@
 //! bench_gate snapshot <current.json> [min_speedup]
 //! bench_gate block <current.json> [min_speedup]
 //! bench_gate quality <current.json> [min_precision] [max_overhead]
-//! bench_gate learned <current.json> [max_mis_rate] [max_overhead]
 //! bench_gate overload <baseline.json> <current.json> [tolerance]
 //! bench_gate parallel <current.json> [min_speedup] [min_snapshot_speedup]
 //! bench_gate churn <current.json> [min_load_speedup]
@@ -35,17 +34,6 @@
 //!   at a total-runtime overhead of at most `max_overhead` (default 1.25×)
 //!   versus speculation off — quality recovered cheaply, not bought with a
 //!   TriniT-priced rerun of everything.
-//! * `learned` gates the `learned` object (emitted under `probe --learned`).
-//!   Correctness is unconditional: the cold learned engine must have
-//!   answered and planned byte-identically to the static engine
-//!   (`cold_identical` — empty models mean every confidence gate is closed,
-//!   so the histogram fallback path must be exact). The taught engine's
-//!   mis-speculation rate must come in below both the absolute ceiling
-//!   (default 0.06, the static first-pass rate the ROADMAP targets) and the
-//!   report's own static first-pass rate, at a cold planning+verify overhead
-//!   of at most `max_overhead` (default 1.25×) versus a cold static engine
-//!   (fresh engine pairs, where PLANGEN does real work), with at least one
-//!   observation actually recorded.
 //! * `overload` asserts the `server` object (emitted under `probe --server`,
 //!   which offers the workload open-loop at 2× the measured saturation rate)
 //!   shows admission control doing its job: some requests accepted, some
@@ -372,59 +360,6 @@ fn quality_gate(path: &str, min_precision: f64, max_overhead: f64) -> i32 {
     }
 }
 
-fn learned_gate(path: &str, max_mis_rate: f64, max_overhead: f64) -> i32 {
-    let json = read(path);
-    let slice = object_slice(&json, "learned").unwrap_or_else(|| {
-        eprintln!("bench_gate: {path} has no \"learned\" object (run probe with --learned)");
-        exit(2);
-    });
-    let mis_static = require_num(&json, "learned", "mis_rate_static", path);
-    let mis_learned = require_num(&json, "learned", "mis_rate_learned", path);
-    let overhead = require_num(&json, "learned", "overhead", path);
-    let observations = require_num(&json, "learned", "observations", path);
-    let cold_identical = bool_field(slice, "cold_identical").unwrap_or_else(|| {
-        eprintln!("bench_gate: {path} lacks boolean learned.cold_identical");
-        exit(2);
-    });
-    println!(
-        "learned predictor: mis rate {mis_learned:.3} taught vs {mis_static:.3} static \
-         first-pass (ceiling {max_mis_rate}), planning+verify overhead {overhead:.2}x \
-         (ceiling {max_overhead}x), {observations:.0} observations, \
-         cold_identical={cold_identical}"
-    );
-    let mut failures = Vec::new();
-    if !cold_identical {
-        failures.push(
-            "cold learned engine diverged from the histogram engine — the confidence \
-             fallback is broken"
-                .to_string(),
-        );
-    }
-    if mis_learned >= max_mis_rate {
-        failures.push(format!(
-            "taught mis rate {mis_learned:.3} >= ceiling {max_mis_rate}"
-        ));
-    }
-    if mis_learned > mis_static {
-        failures.push(format!(
-            "taught mis rate {mis_learned:.3} worse than static first-pass {mis_static:.3}"
-        ));
-    }
-    if overhead > max_overhead {
-        failures.push(format!("overhead {overhead:.2}x > {max_overhead}x"));
-    }
-    if observations < 1.0 {
-        failures.push("no observations recorded — the feedback loop never fed".to_string());
-    }
-    if failures.is_empty() {
-        println!("bench_gate learned: ok");
-        0
-    } else {
-        eprintln!("bench_gate learned FAILED: {}", failures.join("; "));
-        1
-    }
-}
-
 fn overload_gate(baseline_path: &str, current_path: &str, tol: f64) -> i32 {
     let baseline = read(baseline_path);
     let current = read(current_path);
@@ -597,7 +532,6 @@ fn main() {
              \x20      bench_gate snapshot <current.json> [min_speedup]\n\
              \x20      bench_gate block <current.json> [min_speedup]\n\
              \x20      bench_gate quality <current.json> [min_precision] [max_overhead]\n\
-             \x20      bench_gate learned <current.json> [max_mis_rate] [max_overhead]\n\
              \x20      bench_gate overload <baseline.json> <current.json> [tolerance]\n\
              \x20      bench_gate parallel <current.json> [min_speedup] [min_snapshot_speedup]\n\
              \x20      bench_gate churn <current.json> [min_load_speedup]"
@@ -637,17 +571,6 @@ fn main() {
                 .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
                 .unwrap_or(1.25);
             quality_gate(&args[1], min_precision, max_overhead)
-        }
-        Some("learned") if args.len() >= 2 => {
-            let max_mis = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(0.06);
-            let max_overhead = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(1.25);
-            learned_gate(&args[1], max_mis, max_overhead)
         }
         Some("overload") if args.len() >= 3 => {
             let tol = args
@@ -700,7 +623,6 @@ mod tests {
   "snapshot_v2": {"triples":200000,"terms":2200,"v2_bytes":9000000,"v1_bytes":9000000,"v2_load_us":5500,"v1_decode_us":122000,"v1_load_us":12400,"speedup":22.182,"compat_speedup":2.255},
   "churn": {"rows":30000,"rounds":24,"batch_size":128,"epochs":25,"delta_rows_at_fold":1600,"compact_us":8200,"answers_stable":true,"pinned_stable":true,"post_compaction_match":true,"v2_load_us":900,"v1_decode_us":14000,"load_speedup":15.556},
   "speculation": {"policy":"fallback:3","queries":18,"k":10,"mis_speculation_rate":0.1111,"fallback_rate":0.0556,"fallback_stages":2,"wasted_answers":120,"precision_fallback":0.9815,"precision_off":0.9259,"off_total_us":5000,"fallback_total_us":5600,"overhead":1.120},
-  "learned": {"queries":18,"k":10,"teaching_laps":3,"cold_identical":true,"mis_rate_static":0.0556,"mis_rate_learned":0.0000,"planning_verify_static_us":900,"planning_verify_learned_us":1000,"overhead":1.111,"observations":90,"predictions":40,"revisions":12},
   "service": {"threads":4,"queries_per_sec":730.059,"cache":{"hits":37}},
   "server": {"threads":4,"offered":400,"rate_per_sec":8000.0,"saturation_per_sec":4000.0,"accepted":231,"shed_retry_after":169,"shed_deadline":0,"other_errors":0,"p50_accepted_us":812,"p99_accepted_us":3420,"mean_accepted_us":990,"max_accepted_us":5100,"wall_us":61000,"connections":1,"quota_rejected":0,"protocol_errors":0}
 }"#;
@@ -747,24 +669,6 @@ mod tests {
         // The sample passes the default gate thresholds.
         assert!(num_field(spec, "precision_fallback").unwrap() >= 0.95);
         assert!(num_field(spec, "overhead").unwrap() <= 1.25);
-    }
-
-    #[test]
-    fn learned_object_fields_readable_and_sample_passes_gate() {
-        let learned = object_slice(SAMPLE, "learned").unwrap();
-        assert_eq!(bool_field(learned, "cold_identical"), Some(true));
-        assert_eq!(num_field(learned, "mis_rate_static"), Some(0.0556));
-        assert_eq!(num_field(learned, "mis_rate_learned"), Some(0.0));
-        assert_eq!(num_field(learned, "overhead"), Some(1.111));
-        assert_eq!(num_field(learned, "observations"), Some(90.0));
-        // The sample passes the default gate thresholds: learned rate below
-        // the ceiling and no worse than static, overhead within budget.
-        assert!(num_field(learned, "mis_rate_learned").unwrap() < 0.06);
-        assert!(
-            num_field(learned, "mis_rate_learned").unwrap()
-                <= num_field(learned, "mis_rate_static").unwrap()
-        );
-        assert!(num_field(learned, "overhead").unwrap() <= 1.25);
     }
 
     #[test]

@@ -38,17 +38,6 @@
 //! overhead. `bench_gate quality` asserts precision ≥ 0.95 at ≤ 1.25x
 //! overhead.
 //!
-//! With `--learned` the JSON report additionally carries a `learned` object
-//! probing the online predictor on the skew-shaped seeded workload: a cold
-//! learned engine must answer byte-identically to a static one (all
-//! confidence gates closed), then teaching laps feed the feedback loop and
-//! the taught engine's mis-speculation rate is measured. The planning+verify
-//! overhead of learned mode is measured cold-vs-cold on fresh engine pairs
-//! (where PLANGEN and verification do real work, rather than warm plan-cache
-//! hits that would make the ratio degenerate). `bench_gate learned` asserts
-//! the taught rate beats both the static first-pass rate and an absolute
-//! ceiling, at bounded overhead.
-//!
 //! With `--morsels N` the JSON report additionally carries a `parallel`
 //! object timing morsel-driven block execution at N workers against
 //! sequential block execution on a deterministic adversarial rank-join (a
@@ -275,13 +264,6 @@ fn main() {
     let churn = raw
         .iter()
         .position(|a| a == "--churn")
-        .map(|i| {
-            raw.remove(i);
-        })
-        .is_some();
-    let learned_probe = raw
-        .iter()
-        .position(|a| a == "--learned")
         .map(|i| {
             raw.remove(i);
         })
@@ -957,116 +939,6 @@ fn main() {
         );
     }
 
-    // --learned: the online-predictor probe on the seeded workload (whose
-    // scores are deliberately skew-shaped — the generators draw power-law
-    // score distributions, exactly the regime where static two-bucket
-    // histograms miscalibrate). Two fallback engines differ only in
-    // `EngineConfig::learned`:
-    //
-    // 1. cold first pass — with empty models every confidence gate is
-    //    closed, so the learned engine must answer AND plan byte-identically
-    //    to the static engine (`cold_identical`); this same cold pass yields
-    //    the static first-pass mis-speculation rate the gate compares
-    //    against;
-    // 2. teaching laps — repeated runs feed verified observations back into
-    //    the catalog until the gates open;
-    // 3. measured lap — the taught engine's mis-speculation rate must drop
-    //    below the static first-pass rate (the static engine gets the same
-    //    number of laps so its ledger is equally settled);
-    // 4. overhead — best-of-5 cold-vs-cold on fresh engine pairs, so the
-    //    ratio compares learned-mode's additions (shape keys, model lookups,
-    //    observation recording) against *real* PLANGEN + verification work
-    //    instead of warm plan-cache hits, where a ~µs denominator would make
-    //    any absolute cost look unbounded.
-    let mut learned_json = String::new();
-    if learned_probe {
-        let max_stages = specqp::speculation::DEFAULT_MAX_STAGES;
-        let policy = SpeculationPolicy::Fallback { max_stages };
-        let static_engine = Engine::with_config(
-            &ds.graph,
-            &ds.registry,
-            EngineConfig::default()
-                .with_speculation(policy)
-                .with_learned(false),
-        );
-        let learned_engine = Engine::with_config(
-            &ds.graph,
-            &ds.registry,
-            EngineConfig::default()
-                .with_speculation(policy)
-                .with_learned(true),
-        );
-        let nq = ds.workload.queries.len();
-
-        // Cold first pass: byte-identity + the static baseline mis rate.
-        let mut cold_identical = true;
-        let mut mis_static = 0u64;
-        for q in &ds.workload.queries {
-            let a = learned_engine.run_specqp(q, k);
-            let b = static_engine.run_specqp(q, k);
-            cold_identical &= a.answers == b.answers && a.plan == b.plan;
-            mis_static += u64::from(b.report.mis_speculated);
-        }
-        let mis_rate_static = mis_static as f64 / nq as f64;
-
-        // Teaching laps (both engines, so the static ledger settles too and
-        // the overhead comparison is warm-vs-warm).
-        const TEACHING_LAPS: usize = 3;
-        for _ in 0..TEACHING_LAPS {
-            for q in &ds.workload.queries {
-                let _ = learned_engine.run_specqp(q, k);
-                let _ = static_engine.run_specqp(q, k);
-            }
-        }
-
-        // Measured lap: taught mis rate + planning+verify overhead.
-        let mut mis_learned = 0u64;
-        for q in &ds.workload.queries {
-            let out = learned_engine.run_specqp(q, k);
-            mis_learned += u64::from(out.report.mis_speculated);
-        }
-        let mis_rate_learned = mis_learned as f64 / nq as f64;
-        let plan_verify_round = |learned: bool| -> u128 {
-            let engine = Engine::with_config(
-                &ds.graph,
-                &ds.registry,
-                EngineConfig::default()
-                    .with_speculation(policy)
-                    .with_learned(learned),
-            );
-            ds.workload
-                .queries
-                .iter()
-                .map(|q| {
-                    let r = engine.run_specqp(q, k).report;
-                    (r.planning + r.verify).as_micros()
-                })
-                .sum::<u128>()
-        };
-        let (mut static_us, mut learned_us) = (u128::MAX, u128::MAX);
-        for _ in 0..5 {
-            static_us = static_us.min(plan_verify_round(false));
-            learned_us = learned_us.min(plan_verify_round(true));
-        }
-        let overhead = learned_us as f64 / (static_us.max(1)) as f64;
-        let counters = learned_engine.catalog().learned_counters();
-        println!(
-            "learned: mis rate {mis_rate_learned:.3} taught vs {mis_rate_static:.3} static \
-             first-pass (cold identical: {cold_identical}); cold planning+verify {learned_us}us \
-             vs {static_us}us ({overhead:.2}x); {} observations, {} predictions, {} revisions",
-            counters.observations, counters.predictions, counters.revisions,
-        );
-        learned_json = format!(
-            ",\n  \"learned\": {{\"queries\":{nq},\"k\":{k},\"teaching_laps\":{TEACHING_LAPS},\
-             \"cold_identical\":{cold_identical},\"mis_rate_static\":{mis_rate_static:.4},\
-             \"mis_rate_learned\":{mis_rate_learned:.4},\
-             \"planning_verify_static_us\":{static_us},\
-             \"planning_verify_learned_us\":{learned_us},\"overhead\":{overhead:.3},\
-             \"observations\":{},\"predictions\":{},\"revisions\":{}}}",
-            counters.observations, counters.predictions, counters.revisions,
-        );
-    }
-
     // Optional serving probes: the closed-loop batch probe (`--service N`)
     // and the open-loop wire probe (`--server`) share one service so the
     // plan cache stays warm across both. This consumes the dataset's
@@ -1274,7 +1146,7 @@ fn main() {
              \"prediction_exact\": {exact},\n  \"prediction_covers\": {covers},\n  \
              \"specqp\": {},\n  \"trinit\": \
              {}{snapshot_json}{block_json}{parallel_json}{snapshot_v2_json}\
-             {churn_json}{speculation_json}{learned_json}{service_json}{server_json}\n}}\n",
+             {churn_json}{speculation_json}{service_json}{server_json}\n}}\n",
             json_escape(&ds.name),
             json_escape(&summary),
             spec.plan.singletons(),

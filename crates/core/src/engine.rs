@@ -14,10 +14,7 @@ use operators::{
 };
 use relax::{ChainRuleSet, RelaxationRegistry};
 use sparql::Query;
-use specqp_stats::{
-    CardinalityEstimator, ExactCardinality, FeatureVector, LearnedObservation, QueryShapeKey,
-    RefitMode, StatsCatalog,
-};
+use specqp_stats::{CardinalityEstimator, ExactCardinality, RefitMode, StatsCatalog};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,16 +131,6 @@ pub struct EngineConfig {
     /// honours the `SPECQP_MORSELS` environment variable, which is how CI
     /// runs the whole test suite once under parallel execution.
     pub parallelism: usize,
-    /// Learned speculation predictions: when `true`, every verified run
-    /// feeds an observation (query shape, features, observed k-th score,
-    /// per-relaxation best contributions) into the catalog's learned
-    /// models, and PLANGEN substitutes confident learned estimates for the
-    /// static histogram ones (see [`specqp_stats::LearnedModels`]). Low
-    /// confidence falls back to the histogram path byte-identically. The
-    /// default honours the `SPECQP_LEARNED` environment variable
-    /// (`1` | `0`), which is how CI runs the whole test suite once with
-    /// learning enabled.
-    pub learned: bool,
 }
 
 /// Reads `SPECQP_MORSELS` (a positive worker count; unset means `1`).
@@ -159,20 +146,6 @@ fn parallelism_from_env() -> usize {
     }
 }
 
-/// Reads `SPECQP_LEARNED` (`1`/`0`; unset means off). Panics on garbage so
-/// a typo in CI configuration fails loudly instead of silently testing the
-/// wrong predictor.
-fn learned_from_env() -> bool {
-    match std::env::var("SPECQP_LEARNED") {
-        Err(_) => false,
-        Ok(v) => match v.trim() {
-            "1" => true,
-            "0" => false,
-            _ => panic!("SPECQP_LEARNED={v:?} is not a valid switch (expected 1 or 0)"),
-        },
-    }
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -181,7 +154,6 @@ impl Default for EngineConfig {
             execution: ExecutionMode::from_env(),
             speculation: SpeculationPolicy::from_env(),
             parallelism: parallelism_from_env(),
-            learned: learned_from_env(),
         }
     }
 }
@@ -202,12 +174,6 @@ impl EngineConfig {
     /// This configuration with `parallelism` replaced (clamped to ≥ 1).
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
-        self
-    }
-
-    /// This configuration with `learned` replaced.
-    pub fn with_learned(mut self, learned: bool) -> Self {
-        self.learned = learned;
         self
     }
 }
@@ -502,7 +468,6 @@ impl<'g> Engine<'g> {
             self.cardinality.as_ref(),
             self.registry.get(),
             self.config.refit,
-            self.config.learned,
         );
         // A pin older than the newest observed epoch (a query pinned before
         // a commit another call has already seen) must not publish its plan
@@ -854,18 +819,6 @@ impl<'g> Engine<'g> {
             answers = recovered;
         }
 
-        // Learned feedback: one observation per verified run — the query
-        // shape, its histogram features, the observed k-th score, and what
-        // each retained relaxation actually contributed to the final top-k.
-        // ForceFinal records nothing (it is the ground-truth oracle the
-        // learned path is judged against, and its all-relaxed run reflects
-        // no planning decision).
-        if self.config.learned && policy != SpeculationPolicy::ForceFinal {
-            let tl = Instant::now();
-            self.record_learned_observation(graph, query, k, &current, &answers);
-            verify_time += tl.elapsed();
-        }
-
         // Two batched ledger writes per run at most — service workers
         // contend on the catalog lock once per kind, not once per pattern.
         let key_of = |(i, mis): (usize, bool)| (query.patterns()[i].stats_key(), mis);
@@ -893,54 +846,6 @@ impl<'g> Engine<'g> {
                 mis_speculated,
             },
         }
-    }
-
-    /// Feeds one verified run back into the catalog's learned models: the
-    /// variable-name-erased query shape, its histogram feature vector, the
-    /// observed k-th score (`None` while under-filled — the model must not
-    /// learn a floor from a run that had none), and the best top-k
-    /// contribution of each retained relaxation (0.0 when it was carried
-    /// but never used — exactly the evidence that justifies pruning it
-    /// next time). Revisions detected inside [`StatsCatalog::record_learned`]
-    /// bump the catalog generation, so cached plans built on the superseded
-    /// predictions are re-planned.
-    fn record_learned_observation(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &Query,
-        k: usize,
-        plan: &QueryPlan,
-        answers: &[PartialAnswer],
-    ) {
-        let patterns = query.patterns();
-        let registry = self.registry.get();
-        let stats: Vec<_> = patterns
-            .iter()
-            .map(|p| self.catalog.stats(graph, p))
-            .collect();
-        let fanout: usize = patterns.iter().map(|p| registry.relaxation_count(p)).sum();
-        let features = FeatureVector::from_stats(&stats, k, fanout);
-        let kth_score = (answers.len() >= k).then(|| answers[k - 1].score.value());
-        let relaxed: Vec<usize> = (0..patterns.len())
-            .filter(|&i| plan.is_relaxed(i) && registry.relaxation_count(&patterns[i]) > 0)
-            .collect();
-        let relaxed_best = if relaxed.is_empty() {
-            Vec::new()
-        } else {
-            let contributions =
-                crate::evaluation::relaxation_contribution_best(graph, query, registry, answers);
-            relaxed
-                .into_iter()
-                .map(|i| (patterns[i].stats_key(), contributions[i]))
-                .collect()
-        };
-        self.catalog.record_learned(LearnedObservation {
-            shape: QueryShapeKey::new(patterns.iter().map(|p| p.stats_key()).collect()),
-            features,
-            k,
-            kth_score,
-            relaxed_best,
-        });
     }
 
     /// Brute-force ground truth (tests / validation only).
@@ -1366,12 +1271,9 @@ mod tests {
             let _ = engine.run_specqp(&q, 40);
         }
         let generation = engine.catalog().generation();
-        // One flag → one exoneration is the worst permissible transient
-        // (plus, under SPECQP_LEARNED=1, one bump when the learned gate
-        // first opens); after that the shape must be settled and the
-        // generation stable — identical repeated observations never count
-        // as revisions.
-        assert!(generation <= 3, "generation oscillated: {generation}");
+        // One flag → one exoneration is the worst permissible transient;
+        // after that the shape must be settled and the generation stable.
+        assert!(generation <= 2, "generation oscillated: {generation}");
         let before = generation;
         let _ = engine.run_specqp(&q, 40);
         let _ = engine.run_specqp(&q, 40);
@@ -1379,119 +1281,6 @@ mod tests {
             engine.catalog().generation(),
             before,
             "steady state must not keep invalidating the plan cache"
-        );
-    }
-
-    /// The learned feedback loop end to end: verified runs record
-    /// observations, the confidence gate opening bumps the generation
-    /// (dropping cached plans built on the histogram estimates), and the
-    /// learned engine's answers never drift from the histogram engine's.
-    #[test]
-    fn learned_engine_records_and_converges() {
-        let (g, reg) = setup();
-        let learned = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(true),
-        );
-        let hist = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(false),
-        );
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        for run in 0..6 {
-            let a = learned.run_specqp(&q, 10);
-            let b = hist.run_specqp(&q, 10);
-            assert_eq!(a.answers, b.answers, "drift on run {run}");
-        }
-        let counters = learned.catalog().learned_counters();
-        assert_eq!(counters.observations, 6, "one observation per run");
-        assert_eq!(
-            hist.catalog().learned_counters().observations,
-            0,
-            "learning off records nothing"
-        );
-        // Steady state: the generation settled (the gate opened at most
-        // once per model) and stays put under further identical runs.
-        let before = learned.catalog().generation();
-        let _ = learned.run_specqp(&q, 10);
-        let _ = learned.run_specqp(&q, 10);
-        assert_eq!(
-            learned.catalog().generation(),
-            before,
-            "identical observations must not keep revising"
-        );
-    }
-
-    /// ForceFinal is the ground-truth oracle: it must feed nothing into the
-    /// learned models (its all-relaxed run reflects no planning decision).
-    #[test]
-    fn force_final_records_no_learned_observations() {
-        let (g, reg) = setup();
-        let engine = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::ForceFinal)
-                .with_learned(true),
-        );
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let _ = engine.run_specqp(&q, 10);
-        assert_eq!(engine.catalog().learned_counters().observations, 0);
-        assert_eq!(engine.catalog().generation(), 0);
-    }
-
-    /// A learned revision invalidates the plan cache through the generation
-    /// stamp: the run after the gate opens must re-plan, not serve the plan
-    /// built on the histogram estimates.
-    #[test]
-    fn learned_revision_drops_cached_plan() {
-        let (g, reg) = setup();
-        let engine = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(true),
-        );
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let m = engine.plan_cache_metrics().clone();
-        let mut last_gen = engine.catalog().generation();
-        let mut bumped_and_replanned = false;
-        for _ in 0..6 {
-            let misses_before = m.misses();
-            let _ = engine.run_specqp(&q, 10);
-            let generation = engine.catalog().generation();
-            if generation > last_gen {
-                // The *next* run sees the stale stamp and must miss.
-                let misses_now = m.misses();
-                let _ = engine.run_specqp(&q, 10);
-                assert!(
-                    m.misses() > misses_now,
-                    "revision at generation {generation} must drop the cached plan"
-                );
-                bumped_and_replanned = true;
-                break;
-            }
-            let _ = misses_before;
-            last_gen = generation;
-        }
-        assert!(
-            bumped_and_replanned,
-            "the confidence gate never opened in 6 runs"
         );
     }
 

@@ -79,8 +79,8 @@ pub mod trace;
 
 pub use engine::{Engine, EngineConfig, PinnedGraph, QueryOutcome};
 pub use evaluation::{
-    precision_at_k, prediction_covering, prediction_exact, relaxation_contribution_best,
-    required_relaxations, score_error, ScoreError,
+    precision_at_k, prediction_covering, prediction_exact, required_relaxations, score_error,
+    ScoreError,
 };
 pub use executor::{
     build_block_stream_morsels, build_block_stream_with_chains, build_plan_stream,
@@ -93,7 +93,3 @@ pub use plan_cache::{PlanCache, QueryShape};
 pub use plangen::plan_query;
 pub use speculation::{SpeculationPolicy, Verdict};
 pub use trace::RunReport;
-
-// Re-exported so downstream crates (service, bench) can read the learned
-// predictor's counters without depending on the stats crate directly.
-pub use specqp_stats::LearnedCounters;

@@ -18,8 +18,8 @@
 //! **feedback generation** it was planned under
 //! ([`StatsCatalog::generation`](specqp_stats::StatsCatalog::generation)).
 //! A lookup passes the *current* generation; entries stamped older are
-//! dropped on sight (counted as `stale` + `miss`), so a feedback refit can
-//! never serve a plan that pre-dates what the planner has since learned.
+//! dropped on sight (counted as `stale` + `miss`), so the cache never
+//! serves a plan made before the latest offender-bias flip or epoch change.
 //! The generation is deliberately **global**: a bump invalidates every
 //! cached shape, not just those containing the refitted pattern — a
 //! correctness-first coarseness. It stays cheap because bias flips are rare

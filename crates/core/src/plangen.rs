@@ -17,7 +17,7 @@ use kgstore::KnowledgeGraph;
 use relax::RelaxationRegistry;
 use sparql::{Query, TriplePattern};
 use specqp_common::Score;
-use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimator, StatsCatalog};
+use specqp_stats::{CardinalityEstimator, RefitMode, ScoreEstimator, StatsCatalog};
 
 /// Runs PLANGEN and returns the speculative plan.
 ///
@@ -28,7 +28,7 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 /// required all triple patterns to be relaxed … we were able to identify the
 /// requirement of all the relaxations").
 ///
-/// Three extensions over Algorithm 1 feed the speculation lifecycle:
+/// Two extensions over Algorithm 1 feed the speculation lifecycle:
 ///
 /// * the plan carries PLANGEN's predictions — `E_Q(k)` as the
 ///   [`score floor`](QueryPlan::score_floor) and each pattern's `E_{Q'}(1)`
@@ -37,15 +37,7 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 /// * the catalog's speculation ledger is consulted: a pattern whose pruning
 ///   is a recorded [repeat offender](StatsCatalog::repeat_offender) keeps
 ///   its relaxations even when the (evidently miscalibrated) estimate says
-///   pruning is safe;
-/// * with `learned` on, the catalog's [learned
-///   models](StatsCatalog::learned_kth) substitute for the histogram
-///   estimates — but only where their confidence gate is open. A closed
-///   gate (or an unknown query shape) falls back to the histogram value,
-///   so a cold or low-confidence engine plans byte-identically to a
-///   histogram-only one. Substituted values also replace the plan's carried
-///   predictions, keeping the verifier's replayed inequality consistent
-///   with the decision that was actually made.
+///   pruning is safe.
 pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -54,7 +46,6 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     cardinality: &C,
     registry: &RelaxationRegistry,
     refit: RefitMode,
-    learned: bool,
 ) -> QueryPlan {
     assert!(k >= 1, "top-k requires k ≥ 1");
     let estimator = ScoreEstimator::with_mode(catalog, cardinality, refit);
@@ -64,14 +55,6 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     let eq_k = estimator
         .estimate(graph, &original)
         .expected_score_at_rank(k);
-    // Learned substitution for E_Q(k): variable names are erased so the
-    // model bucket covers every isomorphic query.
-    let qshape =
-        learned.then(|| QueryShapeKey::new(patterns.iter().map(|p| p.stats_key()).collect()));
-    let eq_k = qshape
-        .as_ref()
-        .and_then(|s| catalog.learned_kth(s, k))
-        .or(eq_k);
 
     let mut singletons: Vec<usize> = Vec::new();
     let mut predicted_best: Vec<Option<Score>> = vec![None; patterns.len()];
@@ -83,13 +66,6 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
         let mut relaxed = original.clone();
         relaxed[i] = (top.pattern, top.weight);
         let eq1_relaxed = estimator.estimate(graph, &relaxed).expected_top_score();
-        // Learned substitution for E_{Q'}(1), keyed by (query shape,
-        // relaxed pattern): observed best relaxation contributions replace
-        // the convolution estimate once confidently fit.
-        let eq1_relaxed = qshape
-            .as_ref()
-            .and_then(|s| catalog.learned_relaxed_best(s, &q_i.stats_key(), k))
-            .or(eq1_relaxed);
         predicted_best[i] = eq1_relaxed.map(Score::new);
         let required = match (eq1_relaxed, eq_k) {
             (Some(best_relaxed), Some(kth_original)) => best_relaxed > kth_original,
@@ -176,16 +152,7 @@ mod tests {
         let catalog = StatsCatalog::new();
         let card = ExactCardinality::new();
         let q = query(&g, &["rich", "poor"]);
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         // Join rich⋈poor has only 2 answers < k=10 ⇒ E_Q(k)=None ⇒ the
         // pattern with a viable relaxation (poor→backup) must be relaxed…
         assert!(plan.is_relaxed(1), "poor must keep its relaxations");
@@ -204,16 +171,7 @@ mod tests {
         // `tiny` has weight 0.2 — its best score (≈0.2) cannot beat the
         // expected 10th score of `rich` (≈ high, power law head).
         let q = query(&g, &["rich"]);
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         assert_eq!(plan.relaxed_count(), 0, "{plan:?}");
     }
 
@@ -224,16 +182,7 @@ mod tests {
         let card = ExactCardinality::new();
         // Single-pattern query over `poor`: 2 answers < k=10 ⇒ backup needed.
         let q = query(&g, &["poor"]);
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         assert_eq!(plan.singletons(), vec![0]);
     }
 
@@ -252,7 +201,6 @@ mod tests {
             &card,
             &empty_reg,
             RefitMode::TwoBucket,
-            false,
         );
         assert_eq!(plan.relaxed_count(), 0);
     }
@@ -264,26 +212,8 @@ mod tests {
         let card = ExactCardinality::new();
         let q = query(&g, &["poor"]);
         // k=1: the original `poor` head scores 1.0 ≥ any relaxed (0.9·…).
-        let plan1 = plan_query(
-            &g,
-            &q,
-            1,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
-        let plan10 = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan1 = plan_query(&g, &q, 1, &catalog, &card, &reg, RefitMode::TwoBucket);
+        let plan10 = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         assert!(plan1.relaxed_count() <= plan10.relaxed_count());
     }
 
@@ -295,16 +225,7 @@ mod tests {
         // `rich` alone fills k=10, so the floor is a real estimate and the
         // pattern's relaxed-best prediction is populated (rich→tiny exists).
         let q = query(&g, &["rich"]);
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         let floor = plan.score_floor().expect("rich fills the top-10");
         assert!(floor.value() > 0.0 && floor.value() <= 1.0, "{floor:?}");
         let best = plan.predicted_relaxed_best(0).expect("rich→tiny predicted");
@@ -322,212 +243,15 @@ mod tests {
         let card = ExactCardinality::new();
         let q = query(&g, &["rich"]);
         // Baseline: the estimate says rich→tiny can't reach the top-10.
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let plan = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         assert_eq!(plan.relaxed_count(), 0);
         // Record the pruning as a repeat offense; the bias must override the
         // unchanged estimate.
         let g0 = catalog.generation();
         assert!(catalog.record_speculation(q.patterns()[0].stats_key(), true));
         assert_eq!(catalog.generation(), g0 + 1);
-        let biased = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
+        let biased = plan_query(&g, &q, 10, &catalog, &card, &reg, RefitMode::TwoBucket);
         assert_eq!(biased.singletons(), vec![0], "offender must stay relaxed");
-    }
-
-    /// Teaches the catalog's learned models a value for one query shape by
-    /// feeding identical observations until the confidence gate opens.
-    fn teach(
-        catalog: &StatsCatalog,
-        q: &Query,
-        k: usize,
-        kth_score: Option<f64>,
-        relaxed_best: Vec<(sparql::StatsKey, f64)>,
-    ) {
-        use specqp_stats::{FeatureVector, LearnedObservation};
-        let shape = QueryShapeKey::new(q.patterns().iter().map(|p| p.stats_key()).collect());
-        for _ in 0..4 {
-            catalog.record_learned(LearnedObservation {
-                shape: shape.clone(),
-                features: FeatureVector::default(),
-                k,
-                kth_score,
-                relaxed_best: relaxed_best.clone(),
-            });
-        }
-    }
-
-    #[test]
-    fn cold_learned_mode_plans_identically_to_histograms() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        for classes in [&["rich"][..], &["poor"][..], &["rich", "poor"][..]] {
-            let q = query(&g, classes);
-            for k in [1, 10] {
-                let hist = plan_query(
-                    &g,
-                    &q,
-                    k,
-                    &catalog,
-                    &card,
-                    &reg,
-                    RefitMode::TwoBucket,
-                    false,
-                );
-                let learned =
-                    plan_query(&g, &q, k, &catalog, &card, &reg, RefitMode::TwoBucket, true);
-                assert_eq!(
-                    hist, learned,
-                    "empty models must fall back to the histogram path"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn confident_learned_kth_overrides_the_histogram_floor() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        let q = query(&g, &["rich"]);
-        // Histogram baseline prunes rich→tiny (floor ≈ head of the power
-        // law, far above weight 0.2).
-        let base = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(base.relaxed_count(), 0);
-        // Teach: the observed 10th score is actually tiny (0.05) — below
-        // the relaxation's reachable 0.2. The learned floor must replace
-        // the histogram floor and flip the decision.
-        teach(&catalog, &q, 10, Some(0.05), vec![]);
-        let learned = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(learned.singletons(), vec![0], "learned floor must win");
-        let floor = learned.score_floor().expect("floor carried");
-        assert!(
-            (floor.value() - 0.05).abs() < 0.01,
-            "plan must carry the substituted floor, got {floor:?}"
-        );
-        // Histogram mode is untouched by the models.
-        let hist = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
-        assert_eq!(hist.relaxed_count(), 0);
-    }
-
-    #[test]
-    fn confident_learned_relaxed_best_prunes_an_overestimated_relaxation() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        // poor alone: histogram says backup is required (2 answers < k=10).
-        let q = query(&g, &["poor"]);
-        let base = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(base.singletons(), vec![0]);
-        // Teach: runs consistently observed the relaxation contributing
-        // nothing (best contribution 0.0) while the original did fill the
-        // top-10 at 0.3. Pruning becomes justified.
-        let key = q.patterns()[0].stats_key();
-        teach(&catalog, &q, 10, Some(0.3), vec![(key, 0.0)]);
-        let learned = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(
-            learned.relaxed_count(),
-            0,
-            "confidently-zero relaxed best must prune"
-        );
-        let best = learned.predicted_relaxed_best(0).expect("prediction kept");
-        assert!(best.value() < 0.01, "substituted prediction, got {best:?}");
-    }
-
-    #[test]
-    fn learned_substitution_respects_k_bucketing() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        let q = query(&g, &["rich"]);
-        // Teach only at k=10; planning at k=3 must not use the model (its
-        // observed ln(1+k) range is a single point at k=10).
-        teach(&catalog, &q, 10, Some(0.05), vec![]);
-        let at10 = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(at10.singletons(), vec![0]);
-        let at3 = plan_query(&g, &q, 3, &catalog, &card, &reg, RefitMode::TwoBucket, true);
-        let hist3 = plan_query(
-            &g,
-            &q,
-            3,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
-        assert_eq!(at3, hist3, "no extrapolation outside the taught k range");
     }
 
     #[test]
@@ -544,7 +268,6 @@ mod tests {
             &card,
             &reg,
             RefitMode::MultiBucket(64),
-            false,
         );
         assert!(plan.is_valid_partition());
     }

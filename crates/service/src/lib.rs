@@ -726,15 +726,6 @@ impl QueryService {
         self.core.counters.snapshot()
     }
 
-    /// Current learned-predictor counters on the engine's catalog:
-    /// observations fed back by verified runs, confident predictions served
-    /// to PLANGEN, and material revisions (each of which bumped the catalog
-    /// generation). All zeros unless the engine runs with
-    /// [`specqp::EngineConfig::learned`] (`SPECQP_LEARNED=1`).
-    pub fn learned_snapshot(&self) -> specqp::LearnedCounters {
-        self.core.engine.catalog().learned_counters()
-    }
-
     /// Commits one write batch to the live graph and returns the epoch it
     /// published — the write-path analogue of [`QueryService::try_submit`],
     /// with its own admission control:
@@ -1469,29 +1460,6 @@ mod tests {
                 assert_eq!(a.answers, b.answers, "size {size}");
             }
         }
-    }
-
-    /// The learned-predictor counters surface: a learned service counts one
-    /// observation per verified Spec-QP run; a default service stays at 0.
-    #[test]
-    fn learned_snapshot_counts_observations() {
-        use specqp::{EngineConfig, SpeculationPolicy};
-        let (g, reg) = setup();
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let mut cfg = ServiceConfig::with_threads(2);
-        cfg.engine = EngineConfig::default()
-            .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-            .with_learned(true);
-        let svc = QueryService::new(g.clone(), reg.clone(), cfg);
-        assert_eq!(svc.learned_snapshot().observations, 0);
-        let jobs: Vec<QueryJob> = (0..4).map(|_| QueryJob::specqp(q.clone(), 5)).collect();
-        let _ = svc.run_batch(&jobs);
-        let counters = svc.learned_snapshot();
-        assert_eq!(counters.observations, 4, "one observation per run");
     }
 
     #[test]

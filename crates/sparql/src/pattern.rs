@@ -8,7 +8,7 @@ use specqp_common::TermId;
 /// Needed so that statistics computed for `?x p o` can be reused for
 /// `?y p o` but not for pathological shapes like `?x p ?x` (subject must
 /// equal object), whose match sets differ.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PatternShape {
     /// All variable positions are distinct variables (or there are ≤1).
     Distinct,
@@ -130,9 +130,7 @@ impl TriplePattern {
 
 /// Canonical identity of a pattern for the statistics catalog: the constant
 /// components and the variable-equality shape. Variable *names* are erased.
-/// `Ord` exists so multi-pattern keys (e.g. the learned-model query shape)
-/// can be canonicalized by sorting.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct StatsKey {
     /// Constant subject, if bound.
     pub s: Option<TermId>,

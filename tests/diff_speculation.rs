@@ -205,88 +205,3 @@ fn workload_queries_forced_final_equals_trinit() {
         }
     }
 }
-
-/// The learned-mode lap (`SPECQP_LEARNED=1`, pinned here via
-/// `with_learned(true)` so the test holds regardless of environment):
-/// learned predictions must not dent any lifecycle guarantee, across
-/// row / block / morsel executors on XKG + Twitter.
-///
-/// * **Cold fallback identity**: with empty models every confidence gate is
-///   closed, so a learned engine plans and answers byte-identically to a
-///   histogram engine — the acceptance criterion's "histogram fallback path
-///   proven byte-identical when confidence is low".
-/// * **ForceFinal inertness**: the ground-truth oracle records nothing and
-///   still reproduces TriniT byte for byte with learning on.
-/// * **Taught recovery guarantee**: after enough runs for the gates to
-///   open (and the generation to bump), every run that takes a fallback
-///   stage must still land on TriniT's answers exactly — learned
-///   predictions change *what gets speculated*, never what recovery
-///   returns.
-#[test]
-fn workload_queries_learned_lap_is_byte_identical_to_ground_truth() {
-    for world in [xkg(), twitter()] {
-        for (execution, parallelism) in [
-            (ExecutionMode::RowAtATime, 1),
-            (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 1),
-            (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 4),
-        ] {
-            let config = |policy: SpeculationPolicy, learned: bool| {
-                EngineConfig::default()
-                    .with_execution(execution)
-                    .with_parallelism(parallelism)
-                    .with_speculation(policy)
-                    .with_learned(learned)
-            };
-            let mk = |policy, learned| {
-                Engine::with_config(&world.ds.graph, &world.ds.registry, config(policy, learned))
-            };
-
-            // Cold identity: empty models ⇒ the histogram path, byte for
-            // byte (plans included).
-            let fb = SpeculationPolicy::Fallback { max_stages: 3 };
-            let cold_learned = mk(fb, true);
-            let cold_hist = mk(fb, false);
-            for q in &world.ds.workload.queries {
-                let a = cold_learned.run_specqp(q, 10);
-                let b = cold_hist.run_specqp(q, 10);
-                assert_eq!(a.answers, b.answers, "cold learned ≠ histogram");
-                assert_eq!(a.plan, b.plan, "cold learned plan ≠ histogram plan");
-                // Teaching happened above: the learned engine recorded one
-                // observation per run while the histogram engine did not.
-            }
-            assert_eq!(
-                cold_learned.catalog().learned_counters().observations,
-                world.ds.workload.queries.len() as u64
-            );
-            assert_eq!(cold_hist.catalog().learned_counters().observations, 0);
-
-            // ForceFinal inertness with learning on.
-            let forced = mk(SpeculationPolicy::ForceFinal, true);
-            for q in &world.ds.workload.queries {
-                let out = forced.run_specqp(q, 10);
-                let trinit = forced.run_trinit(q, 10);
-                assert_eq!(out.answers, trinit.answers, "learned forced ≠ trinit");
-            }
-            assert_eq!(forced.catalog().learned_counters().observations, 0);
-
-            // Taught recovery guarantee: keep teaching the cold_learned
-            // engine until its models converge, then check every recovered
-            // run against the TriniT ground truth.
-            for _ in 0..3 {
-                for q in &world.ds.workload.queries {
-                    let _ = cold_learned.run_specqp(q, 10);
-                }
-            }
-            for q in &world.ds.workload.queries {
-                let out = cold_learned.run_specqp(q, 10);
-                if out.report.fallback_stages > 0 {
-                    let trinit = cold_learned.run_trinit(q, 10);
-                    assert_eq!(
-                        out.answers, trinit.answers,
-                        "taught fallback must recover to trinit"
-                    );
-                }
-            }
-        }
-    }
-}
