@@ -112,30 +112,15 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// mixing as [`fnv1a_64`] but consuming 8 input bytes per multiply, ~8×
 /// faster on large buffers. The word order and padding are part of the
 /// definition, so the value is as portable as the byte-wise variant — this
-/// is the checksum the KG snapshot trailer uses, where the hash runs over
-/// megabytes on the serve-restart path.
+/// is the checksum the version-1 KG snapshot trailer uses.
 ///
 /// Note this is a different function than [`fnv1a_64`] — the word chunking
 /// and the final length mix mean the two never agree (not even on the empty
 /// input); both are stable, they are not interchangeable.
 pub fn fnv1a_64_words(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    // Mix the length so inputs differing only by trailing zero bytes within
-    // the padded tail word still hash apart.
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(FNV64_PRIME)
+    let mut h = Fnv64Stream::<1>::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Eight interleaved [`fnv1a_64_words`]-style lanes folded into one digest.
@@ -146,42 +131,119 @@ pub fn fnv1a_64_words(bytes: &[u8]) -> u64 {
 /// the multiplier pipeline full and run close to one word per *cycle* —
 /// roughly the multiplier's latency/throughput ratio faster on large
 /// buffers, which is what the snapshot-v2 trailer hashes on every load.
-/// Trailing words past the last full 8-word group feed lanes round-robin
-/// from lane 0, the final partial word is zero-padded, the eight lane
-/// digests are folded through one more FNV chain and the total byte length
-/// is mixed in last. Every step is fixed little-endian arithmetic, so the
-/// value is as portable and stable as the single-chain variants — and, like
-/// them, it agrees with neither.
+/// Word `w` feeds lane `w % 8`, the final partial word is zero-padded, the
+/// eight lane digests are folded through one more FNV chain and the total
+/// byte length is mixed in last. Every step is fixed little-endian
+/// arithmetic, so the value is as portable and stable as the single-chain
+/// variants — and, like them, it agrees with neither.
 pub fn fnv1a_64_lanes(bytes: &[u8]) -> u64 {
-    const LANES: usize = 8;
-    let mut lanes = [FNV64_OFFSET; LANES];
-    let mut groups = bytes.chunks_exact(8 * LANES);
-    for group in &mut groups {
-        for (lane, c) in group.chunks_exact(8).enumerate() {
-            let w = u64::from_le_bytes(c.try_into().unwrap());
-            lanes[lane] = (lanes[lane] ^ w).wrapping_mul(FNV64_PRIME);
+    let mut h = Fnv64Stream::<8>::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental form of the word-wise FNV checksums: bytes may arrive in any
+/// split and the digest is the same as hashing their concatenation at once.
+/// `Fnv64Stream::<1>` computes [`fnv1a_64_words`], `Fnv64Stream::<8>`
+/// computes [`fnv1a_64_lanes`]; the snapshot reader folds its trailer this
+/// way while it streams a file.
+#[derive(Debug, Clone)]
+pub struct Fnv64Stream<const LANES: usize> {
+    lanes: [u64; LANES],
+    /// Full words consumed so far; word `w` feeds lane `w % LANES`.
+    words: usize,
+    /// Bytes of a word not yet complete.
+    pending: [u8; 8],
+    pending_len: usize,
+    /// Total bytes consumed.
+    len: u64,
+}
+
+impl<const LANES: usize> Default for Fnv64Stream<LANES> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const LANES: usize> Fnv64Stream<LANES> {
+    /// A stream that has consumed no bytes.
+    pub fn new() -> Self {
+        const { assert!(LANES > 0, "an FNV stream needs at least one lane") };
+        Fnv64Stream {
+            lanes: [FNV64_OFFSET; LANES],
+            words: 0,
+            pending: [0; 8],
+            pending_len: 0,
+            len: 0,
         }
     }
-    let rem = groups.remainder();
-    let mut words = rem.chunks_exact(8);
-    let mut lane = 0;
-    for c in &mut words {
-        let w = u64::from_le_bytes(c.try_into().unwrap());
-        lanes[lane] = (lanes[lane] ^ w).wrapping_mul(FNV64_PRIME);
-        lane += 1;
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let lane = &mut self.lanes[self.words % LANES];
+        *lane = (*lane ^ w).wrapping_mul(FNV64_PRIME);
+        self.words += 1;
     }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut t = [0u8; 8];
-        t[..tail.len()].copy_from_slice(tail);
-        lanes[lane] = (lanes[lane] ^ u64::from_le_bytes(t)).wrapping_mul(FNV64_PRIME);
+
+    /// Consumes `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (8 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 8 {
+                return;
+            }
+            self.pending_len = 0;
+            self.word(u64::from_le_bytes(self.pending));
+        }
+        // Single words until the next one lands in lane 0, then whole groups
+        // with every lane independent (the pipelined fast path).
+        let word_at =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let mut at = 0;
+        while self.words % LANES != 0 && bytes.len() - at >= 8 {
+            self.word(word_at(at));
+            at += 8;
+        }
+        let mut groups = bytes[at..].chunks_exact(8 * LANES);
+        for group in &mut groups {
+            for (lane, c) in self.lanes.iter_mut().zip(group.chunks_exact(8)) {
+                let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+                *lane = (*lane ^ w).wrapping_mul(FNV64_PRIME);
+            }
+            self.words += LANES;
+        }
+        let mut words = groups.remainder().chunks_exact(8);
+        for c in &mut words {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
-    let mut h = FNV64_OFFSET;
-    for l in lanes {
-        h = (h ^ l).wrapping_mul(FNV64_PRIME);
+
+    /// The digest of every byte consumed so far.
+    pub fn finish(&self) -> u64 {
+        let mut s = self.clone();
+        if s.pending_len > 0 {
+            s.pending[s.pending_len..].fill(0);
+            s.word(u64::from_le_bytes(s.pending));
+        }
+        let mut h = if LANES == 1 {
+            s.lanes[0]
+        } else {
+            s.lanes
+                .iter()
+                .fold(FNV64_OFFSET, |h, &l| (h ^ l).wrapping_mul(FNV64_PRIME))
+        };
+        // Mix the length so inputs differing only by trailing zero bytes
+        // within the padded tail word still hash apart.
+        h ^= s.len;
+        h.wrapping_mul(FNV64_PRIME)
     }
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(FNV64_PRIME)
 }
 
 #[cfg(test)]
@@ -299,6 +361,32 @@ mod tests {
         // And it is its own function, agreeing with neither single chain.
         assert_ne!(fnv1a_64_lanes(&base), fnv1a_64_words(&base));
         assert_ne!(fnv1a_64_lanes(&base), fnv1a_64(&base));
+    }
+
+    #[test]
+    fn streams_agree_with_one_shot_for_every_split() {
+        let base: Vec<u8> = (0..(8 * 16 + 13)).map(|i| (i * 37 + 11) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, base.len()] {
+            let bytes = &base[..len];
+            for step in 1..=17 {
+                let mut words = Fnv64Stream::<1>::new();
+                let mut lanes = Fnv64Stream::<8>::new();
+                for c in bytes.chunks(step) {
+                    words.update(c);
+                    lanes.update(c);
+                }
+                assert_eq!(
+                    words.finish(),
+                    fnv1a_64_words(bytes),
+                    "len {len} step {step}"
+                );
+                assert_eq!(
+                    lanes.finish(),
+                    fnv1a_64_lanes(bytes),
+                    "len {len} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub mod score;
 pub use dictionary::Dictionary;
 pub use error::{Error, Result, SnapshotError};
 pub use hash::{
-    fnv1a_64, fnv1a_64_lanes, fnv1a_64_words, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
+    fnv1a_64, fnv1a_64_lanes, fnv1a_64_words, Fnv64Stream, FxBuildHasher, FxHashMap, FxHashSet,
+    FxHasher,
 };
 pub use id::TermId;
 pub use score::Score;

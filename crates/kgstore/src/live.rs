@@ -244,7 +244,7 @@ impl DeltaStore {
     fn new(base: Arc<KnowledgeGraph>) -> Self {
         debug_assert!(!base.has_overlay(), "delta base must be flat");
         let words = base.base_len().div_ceil(64);
-        let dict = Dictionary::layered(Arc::new(base.dictionary().clone()));
+        let dict = Dictionary::layered(Arc::clone(&base.dict));
         DeltaStore {
             base,
             dict,
@@ -578,6 +578,21 @@ mod tests {
             .iter_triples()
             .map(|(t, s)| (d.name(t.s).unwrap().to_string(), s.value()))
             .collect()
+    }
+
+    #[test]
+    fn writer_layers_on_the_base_dictionary_without_copying_it() {
+        let live = LiveGraph::new(base());
+        let (g, _) = live.pinned();
+        // The published base and the writer's layered dictionary hold the
+        // one shared copy; the same holds again after a compaction.
+        assert_eq!(Arc::strong_count(&g.dict), 2);
+        let mut batch = WriteBatch::new();
+        batch.assert("z", "type", "singer", 5.0);
+        live.commit(&batch);
+        live.compact();
+        let (g, _) = live.pinned();
+        assert_eq!(Arc::strong_count(&g.dict), 2);
     }
 
     #[test]

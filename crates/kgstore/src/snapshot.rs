@@ -12,7 +12,7 @@
 //! and IDX sections each fixed-stride column is padded so 8-byte-wide
 //! columns stay naturally aligned — the file layout is exactly the
 //! in-memory layout of the sorted-array index (`PostingMap`
-//! columns), so loading is a sequence of bulk column copies with **no
+//! columns), so loading is a sequence of bulk column decodes with **no
 //! per-entry hashing, insertion or re-sorting**: a page-in-style load
 //! rather than a rebuild.
 //!
@@ -70,17 +70,48 @@
 //! notion of masks or delta segments, which keeps every reader version
 //! oblivious to the write path.
 //!
+//! # Reading
+//!
+//! [`read_snapshot`] (a byte slice) and [`load_snapshot`] (a file) run one
+//! streaming decoder for every version. It pulls the input through a fixed
+//! buffer of about 1 MB and decodes each section straight into its
+//! destination columns, so a load never holds a whole-file image. The
+//! trailer checksum is folded in as the bytes stream past and compared at
+//! the end. The checks run in this order:
+//!
+//! 1. **Framing**, before any section is decoded: the magic, the version,
+//!    and a section table that accounts for exactly the input's length.
+//! 2. **Each section on its own**, as it streams: counts against the bytes
+//!    the section still holds (before anything is allocated), UTF-8 and
+//!    distinct dictionary terms, score validity, strictly ascending keys,
+//!    posting ranges inside the arena, no trailing bytes.
+//! 3. **The checksum.** When step 2 fails, the reader still drains and
+//!    hashes the rest of the input: a checksum mismatch outranks the
+//!    structural error, since damaged bytes explain it.
+//! 4. **Across sections**, once all are in: term ids against the
+//!    dictionary, posting entries against the triple count, required
+//!    sections present. Sections may therefore appear in any order.
+//!
 //! Every corruption mode maps to a typed [`SnapshotError`] — truncation,
 //! foreign files, version skew, checksum mismatch and structural
 //! inconsistencies all return errors, never panic.
+//!
+//! # Writing
+//!
+//! [`save_snapshot`] writes a temporary sibling file, syncs it and renames
+//! it over the target, so a crash mid-write never destroys the previous
+//! snapshot.
 
 use crate::columns::TripleColumns;
 use crate::index::{PatternIndexes, PostingMap, PostingRange, TripleMap};
 use crate::store::KnowledgeGraph;
 use specqp_common::{
-    fnv1a_64_lanes, fnv1a_64_words, Dictionary, Result, Score, SnapshotError, TermId,
+    fnv1a_64_lanes, fnv1a_64_words, Dictionary, Fnv64Stream, Result, Score, SnapshotError, TermId,
 };
+use std::fs::File;
+use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SPECQPKG";
@@ -332,31 +363,151 @@ pub fn write_snapshot_v1(graph: &KnowledgeGraph) -> Vec<u8> {
     out
 }
 
-/// Serializes `graph` to a snapshot file at `path`.
+/// Serializes `graph` to a snapshot file at `path`, crash-safely.
+///
+/// The image goes to a temporary sibling of `path` first, is synced to
+/// disk, and is then renamed over `path`; the parent directory is synced
+/// last so the rename itself is durable. A crash or a full disk mid-write
+/// therefore leaves the previous file at `path` intact (a crash may leave
+/// the temporary file behind). Every failure is a [`SnapshotError::Io`].
 pub fn save_snapshot(graph: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let io = |what: &str, at: &Path, e: std::io::Error| {
+        specqp_common::Error::from(SnapshotError::Io(format!("{what} {}: {e}", at.display())))
+    };
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io("saving", path, ErrorKind::InvalidInput.into()))?;
+    let mut tmp_name = file_name.to_os_string();
+    tmp_name.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+
     let bytes = write_snapshot(graph);
-    std::fs::write(path.as_ref(), bytes)
-        .map_err(|e| SnapshotError::Io(format!("writing {}: {e}", path.as_ref().display())).into())
+    let moved = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(&bytes)?;
+            f.sync_all()
+        })
+        .map_err(|e| io("writing", &tmp, e))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| io("renaming onto", path, e)));
+    if moved.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    moved?;
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(parent)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| io("syncing", parent, e))
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over one snapshot section.
-struct Cursor<'a> {
-    buf: &'a [u8],
+/// Bytes the reader buffers at a time.
+const BUF_LEN: usize = 1 << 20;
+
+/// The trailer function of one format version (v1: single-chain words,
+/// v2: eight lanes), folded incrementally as the reader streams.
+#[derive(Debug)]
+enum Checksum {
+    Words(Fnv64Stream<1>),
+    Lanes(Fnv64Stream<8>),
+}
+
+impl Checksum {
+    fn for_version(version: u32) -> Self {
+        if version >= 2 {
+            Checksum::Lanes(Fnv64Stream::new())
+        } else {
+            Checksum::Words(Fnv64Stream::new())
+        }
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        match self {
+            Checksum::Words(h) => h.update(bytes),
+            Checksum::Lanes(h) => h.update(bytes),
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        match self {
+            Checksum::Words(h) => h.finish(),
+            Checksum::Lanes(h) => h.finish(),
+        }
+    }
+}
+
+/// Streaming little-endian reader over one snapshot.
+///
+/// Pulls the input through a fixed buffer, folds every byte in front of the
+/// trailer into the version's checksum as it arrives, and bounds every read
+/// by the current section, so a count is checked against the bytes its
+/// section really holds before anything is allocated for it.
+struct Cursor<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[pos..end]`.
     pos: usize,
+    end: usize,
+    /// Bytes pulled from `src` so far.
+    read: u64,
+    /// Input length the framing was checked against.
+    len: u64,
+    sum: Checksum,
+    /// Input offsets bounding the current section.
+    section_start: u64,
+    section_end: u64,
     context: &'static str,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], context: &'static str) -> Self {
+impl<R: Read> Cursor<R> {
+    /// A cursor over `src` positioned after the 16-byte `header` it already
+    /// consumed; `len` (at least 16) is the whole input's length.
+    fn new(src: R, len: u64, buf_len: usize, header: &[u8; 16], version: u32) -> Self {
+        let mut sum = Checksum::for_version(version);
+        sum.update(header);
+        let buf_len = usize::try_from(len)
+            .map_or(buf_len, |l| l.min(buf_len))
+            .max(16);
         Cursor {
-            buf,
+            src,
+            buf: vec![0; buf_len],
             pos: 0,
-            context,
+            end: 0,
+            read: 16,
+            len,
+            sum,
+            section_start: 16,
+            section_end: 16,
+            context: "header",
         }
+    }
+
+    /// Input offset of the next unconsumed byte.
+    fn offset(&self) -> u64 {
+        self.read - (self.end - self.pos) as u64
+    }
+
+    /// Starts a section of `len` bytes at the current offset.
+    fn section(&mut self, len: u64, context: &'static str) {
+        self.section_start = self.offset();
+        self.section_end = self.section_start + len;
+        self.context = context;
+    }
+
+    /// Bytes left in the current section.
+    fn left(&self) -> u64 {
+        self.section_end - self.offset()
     }
 
     fn truncated(&self) -> SnapshotError {
@@ -365,164 +516,214 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.truncated())?;
-        if end > self.buf.len() {
-            return Err(self.truncated());
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+    fn corrupt(&self, what: &str) -> SnapshotError {
+        SnapshotError::Corrupt(format!("{}: {what}", self.context))
     }
 
-    /// Skips to the next 8-byte boundary (v2 sections keep 8-byte-wide
-    /// columns aligned with zero padding).
-    fn align8(&mut self) -> Result<(), SnapshotError> {
-        let target = pad8_len(self.pos);
-        self.take(target - self.pos)?;
+    /// Fails unless `n` more bytes lie inside the current section.
+    fn room(&self, n: usize) -> Result<(), SnapshotError> {
+        if n as u64 > self.left() {
+            return Err(self.truncated());
+        }
         Ok(())
+    }
+
+    /// Makes at least `need` (at most the buffer's length) unconsumed bytes
+    /// available, hashing what it reads up to the trailer.
+    fn fill(&mut self, need: usize) -> Result<(), SnapshotError> {
+        if self.end - self.pos >= need {
+            return Ok(());
+        }
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        let body_end = self.len - 8;
+        while self.end < need {
+            let want = ((self.buf.len() - self.end) as u64).min(self.len - self.read) as usize;
+            if want == 0 {
+                return Err(self.truncated());
+            }
+            let n = match self.src.read(&mut self.buf[self.end..self.end + want]) {
+                Ok(0) => return Err(self.truncated()),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(SnapshotError::Io(e.to_string())),
+            };
+            let hashed = body_end.saturating_sub(self.read).min(n as u64) as usize;
+            self.sum.update(&self.buf[self.end..self.end + hashed]);
+            self.end += n;
+            self.read += n as u64;
+        }
+        Ok(())
+    }
+
+    /// Hands the next `n` values of `W` bytes each to `f`, as many whole
+    /// values at a time as the buffer holds.
+    fn chunks<const W: usize>(
+        &mut self,
+        n: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), SnapshotError> {
+        self.room(n.checked_mul(W).ok_or_else(|| self.truncated())?)?;
+        let mut left = n;
+        while left > 0 {
+            self.fill(W)?;
+            let k = ((self.end - self.pos) / W).min(left);
+            f(&self.buf[self.pos..self.pos + k * W]);
+            self.pos += k * W;
+            left -= k;
+        }
+        Ok(())
+    }
+
+    /// Decodes `n` little-endian values of `W` bytes each, appending to
+    /// `out` — the bulk path for columns and posting lists.
+    fn extend<T, const W: usize>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<T>,
+        mut decode: impl FnMut([u8; W]) -> T,
+    ) -> Result<(), SnapshotError> {
+        self.room(n.checked_mul(W).ok_or_else(|| self.truncated())?)?;
+        out.reserve(n);
+        self.chunks::<W>(n, |raw| {
+            out.extend(
+                raw.chunks_exact(W)
+                    .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes"))),
+            );
+        })
+    }
+
+    /// [`extend`](Self::extend) into a fresh vector.
+    fn vec<T, const W: usize>(
+        &mut self,
+        n: usize,
+        decode: impl FnMut([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let mut v = Vec::new();
+        self.extend(n, &mut v, decode)?;
+        Ok(v)
+    }
+
+    fn array<const W: usize>(&mut self) -> Result<[u8; W], SnapshotError> {
+        self.room(W)?;
+        self.fill(W)?;
+        let a = self.buf[self.pos..self.pos + W]
+            .try_into()
+            .expect("fill made W bytes available");
+        self.pos += W;
+        Ok(a)
     }
 
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
-    /// Bulk-decodes `n` little-endian u32s in one bounds check — the hot
-    /// path for columns and posting lists (per-element reads would dominate
-    /// the whole load).
-    fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, SnapshotError> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| self.truncated())?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// Consumes `n` bytes of the current section unread.
+    fn skip(&mut self, n: u64) -> Result<(), SnapshotError> {
+        let n = usize::try_from(n).map_err(|_| self.truncated())?;
+        self.chunks::<1>(n, |_| {})
     }
 
-    /// Bulk-decodes `n` little-endian u32s, appending into `out` (the
-    /// postings-arena fill path — no per-list allocation).
-    fn u32_into(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), SnapshotError> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| self.truncated())?)?;
-        out.extend(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(())
+    /// Skips to the next 8-byte boundary of the section (v2 sections keep
+    /// 8-byte-wide columns aligned with zero padding).
+    fn align8(&mut self) -> Result<(), SnapshotError> {
+        let at = self.offset() - self.section_start;
+        self.skip(at.next_multiple_of(8) - at)
     }
 
-    /// Bulk-decodes `n` little-endian u64s in one bounds check.
-    fn u64_vec(&mut self, n: usize) -> Result<Vec<u64>, SnapshotError> {
-        let raw = self.take(n.checked_mul(8).ok_or_else(|| self.truncated())?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Bulk-decodes `n` little-endian u128s in one bounds check.
-    fn u128_vec(&mut self, n: usize) -> Result<Vec<u128>, SnapshotError> {
-        let raw = self.take(n.checked_mul(16).ok_or_else(|| self.truncated())?)?;
-        Ok(raw
-            .chunks_exact(16)
-            .map(|c| u128::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// A count field, validated against what the remaining bytes could
+    /// A count field, validated against what the rest of the section could
     /// possibly hold (each counted element occupies >= `min_elem_bytes`),
     /// so corrupt counts fail fast instead of attempting huge allocations.
     fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
         let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem_bytes as u64) > remaining {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: count {n} exceeds section capacity",
-                self.context
-            )));
+        if n.saturating_mul(min_elem_bytes as u64) > self.left() {
+            return Err(self.corrupt(&format!("count {n} exceeds section capacity")));
         }
-        Ok(n as usize)
+        usize::try_from(n).map_err(|_| self.corrupt(&format!("count {n} overflows")))
     }
 
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Fails when bytes of the current section are left unread.
+    fn done(&self, after: &str) -> Result<(), SnapshotError> {
+        if self.left() != 0 {
+            return Err(self.corrupt(&format!("trailing bytes after {after}")));
+        }
+        Ok(())
+    }
+
+    /// Consumes the rest of the payload and checks the trailer against
+    /// every byte hashed on the way.
+    fn trailer(&mut self) -> Result<(), SnapshotError> {
+        self.section(self.len - 8 - self.offset(), "payload");
+        self.skip(self.left())?;
+        self.section(8, "checksum");
+        let expected = self.u64()?;
+        let actual = self.sum.finish();
+        if expected != actual {
+            return Err(SnapshotError::ChecksumMismatch { expected, actual });
+        }
+        Ok(())
     }
 }
 
-fn decode_dict(bytes: &[u8]) -> Result<Dictionary, SnapshotError> {
-    let mut c = Cursor::new(bytes, "dictionary");
+/// Reads `buf` from the head of `src`, mapping a short input to
+/// [`SnapshotError::Truncated`].
+fn read_head(src: &mut impl Read, buf: &mut [u8], context: &str) -> Result<(), SnapshotError> {
+    src.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => SnapshotError::Truncated {
+            context: context.to_string(),
+        },
+        _ => SnapshotError::Io(e.to_string()),
+    })
+}
+
+fn decode_dict<R: Read>(c: &mut Cursor<R>) -> Result<Dictionary, SnapshotError> {
     let n = c.count(4)?;
-    // Borrowed &str slices straight off the snapshot buffer — the only
-    // per-term allocations are the ones interning itself performs.
-    let mut names: Vec<&str> = Vec::with_capacity(n);
+    // Names go straight into one arena; the dictionary takes it over whole.
+    let mut arena = Vec::with_capacity((c.left() - 4 * n as u64) as usize);
+    let mut ends = Vec::with_capacity(n);
     for _ in 0..n {
         let len = c.u32()? as usize;
-        let raw = c.take(len)?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|e| SnapshotError::Corrupt(format!("dictionary term not utf-8: {e}")))?;
-        names.push(name);
+        c.chunks::<1>(len, |raw| arena.extend_from_slice(raw))?;
+        ends.push(arena.len());
     }
-    if !c.done() {
-        return Err(SnapshotError::Corrupt(
-            "dictionary: trailing bytes after last term".into(),
-        ));
-    }
-    Dictionary::from_names(names).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+    c.done("last term")?;
+    let arena = String::from_utf8(arena)
+        .map_err(|e| SnapshotError::Corrupt(format!("dictionary term not utf-8: {e}")))?;
+    Dictionary::from_arena(arena, ends).map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
 
-fn decode_cols(
-    bytes: &[u8],
-    dict_len: usize,
-    aligned: bool,
-) -> Result<TripleColumns, SnapshotError> {
-    let mut c = Cursor::new(bytes, "triple columns");
+fn decode_cols<R: Read>(c: &mut Cursor<R>, aligned: bool) -> Result<TripleColumns, SnapshotError> {
     let n = c.count(20)?;
-    let term_col = |c: &mut Cursor<'_>, what: &str| -> Result<Vec<TermId>, SnapshotError> {
-        let raw = c.u32_vec(n)?;
-        if let Some(&id) = raw.iter().find(|&&id| id as usize >= dict_len) {
-            return Err(SnapshotError::Corrupt(format!(
-                "{what} column references term {id} outside dictionary (len {dict_len})"
-            )));
-        }
-        // Same-width map lets the collect reuse the u32 allocation in place.
-        Ok(raw.into_iter().map(TermId).collect())
-    };
-    let s = term_col(&mut c, "subject")?;
-    let p = term_col(&mut c, "predicate")?;
-    let o = term_col(&mut c, "object")?;
+    let s = c.vec(n, term_id)?;
+    let p = c.vec(n, term_id)?;
+    let o = c.vec(n, term_id)?;
     if aligned {
         c.align8()?;
     }
-    let mut score = Vec::with_capacity(n);
-    for bits in c.u64_vec(n)? {
-        let v = f64::from_bits(bits);
+    let mut bad = None;
+    let score = c.vec(n, |raw| {
+        let v = f64::from_bits(u64::from_le_bytes(raw));
         // Same invariant the TSV reader enforces: finite and non-negative.
-        if !v.is_finite() || v < 0.0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "invalid score {v} in score column (must be finite and non-negative)"
-            )));
+        if v.is_finite() && v >= 0.0 {
+            Score::new(v)
+        } else {
+            bad.get_or_insert(v);
+            Score::ZERO
         }
-        score.push(Score::new(v));
-    }
-    if !c.done() {
-        return Err(SnapshotError::Corrupt(
-            "triple columns: trailing bytes after score column".into(),
-        ));
-    }
-    TripleColumns::from_parts(s, p, o, score)
-        .ok_or_else(|| SnapshotError::Corrupt("triple columns have unequal lengths".into()))
-}
-
-/// Every posting entry must reference a triple inside the table.
-fn check_list(list: &[u32], n_triples: usize) -> Result<(), SnapshotError> {
-    if let Some(&i) = list.iter().find(|&&i| i as usize >= n_triples) {
+    })?;
+    if let Some(v) = bad {
         return Err(SnapshotError::Corrupt(format!(
-            "posting references triple {i} outside table (len {n_triples})"
+            "invalid score {v} in score column (must be finite and non-negative)"
         )));
     }
-    Ok(())
+    c.done("score column")?;
+    TripleColumns::from_parts(s, p, o, score)
+        .ok_or_else(|| SnapshotError::Corrupt("triple columns have unequal lengths".into()))
 }
 
 /// Every (start, len) range must lie inside the postings arena.
@@ -542,48 +743,48 @@ fn unsorted(what: &str) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what} keys not strictly ascending"))
 }
 
-/// Version-2 index decode: bulk column copies straight into the
-/// sorted-array maps. The only per-entry work left is validation
-/// (key order, range bounds, posting bounds) — no hashing, no inserts.
-fn decode_idx(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, SnapshotError> {
-    let mut c = Cursor::new(bytes, "pattern indexes");
+fn term_id(raw: [u8; 4]) -> TermId {
+    TermId(u32::from_le_bytes(raw))
+}
 
+/// Version-2 index decode: bulk column decodes straight into the
+/// sorted-array maps. The only per-entry work left is validation (key
+/// order, range bounds) — no hashing, no inserts.
+fn decode_idx<R: Read>(c: &mut Cursor<R>) -> Result<PatternIndexes, SnapshotError> {
     let spo_count = c.count(20)?;
-    let spo_keys = c.u128_vec(spo_count)?;
-    let spo_vals = c.u32_vec(spo_count)?;
+    let spo_keys = c.vec(spo_count, u128::from_le_bytes)?;
+    let spo_vals = c.vec(spo_count, u32::from_le_bytes)?;
     c.align8()?;
-    check_list(&spo_vals, n_triples)?;
     let spo = TripleMap::from_columns(spo_keys, spo_vals).ok_or_else(|| unsorted("spo"))?;
 
-    let pair = |c: &mut Cursor<'_>| -> Result<PostingMap<u64>, SnapshotError> {
+    let pair = |c: &mut Cursor<R>| -> Result<PostingMap<u64>, SnapshotError> {
         let count = c.count(20)?;
-        let keys = c.u64_vec(count)?;
-        let starts = c.u64_vec(count)?;
-        let lens = c.u32_vec(count)?;
+        let keys = c.vec(count, u64::from_le_bytes)?;
+        let starts = c.vec(count, u64::from_le_bytes)?;
+        let lens = c.vec(count, u32::from_le_bytes)?;
         c.align8()?;
         PostingMap::from_columns(keys, starts, lens).ok_or_else(|| unsorted("pair-map"))
     };
-    let sp = pair(&mut c)?;
-    let so = pair(&mut c)?;
-    let po = pair(&mut c)?;
+    let sp = pair(c)?;
+    let so = pair(c)?;
+    let po = pair(c)?;
 
-    let single = |c: &mut Cursor<'_>| -> Result<PostingMap<TermId>, SnapshotError> {
+    let single = |c: &mut Cursor<R>| -> Result<PostingMap<TermId>, SnapshotError> {
         let count = c.count(16)?;
-        let keys: Vec<TermId> = c.u32_vec(count)?.into_iter().map(TermId).collect();
+        let keys = c.vec(count, term_id)?;
         c.align8()?;
-        let starts = c.u64_vec(count)?;
-        let lens = c.u32_vec(count)?;
+        let starts = c.vec(count, u64::from_le_bytes)?;
+        let lens = c.vec(count, u32::from_le_bytes)?;
         c.align8()?;
         PostingMap::from_columns(keys, starts, lens).ok_or_else(|| unsorted("single-map"))
     };
-    let s = single(&mut c)?;
-    let p = single(&mut c)?;
-    let o = single(&mut c)?;
+    let s = single(c)?;
+    let p = single(c)?;
+    let o = single(c)?;
 
     let arena_len = c.count(4)?;
-    let postings = c.u32_vec(arena_len)?;
+    let postings = c.vec(arena_len, u32::from_le_bytes)?;
     c.align8()?;
-    check_list(&postings, n_triples)?;
     for m in [&sp, &so, &po] {
         check_ranges(&m.starts, &m.lens, postings.len())?;
     }
@@ -592,20 +793,8 @@ fn decode_idx(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, Snapshot
     }
 
     let all_count = c.count(4)?;
-    let all = c.u32_vec(all_count)?;
-    check_list(&all, n_triples)?;
-    if all.len() != n_triples {
-        return Err(SnapshotError::Corrupt(format!(
-            "global list has {} entries for {} triples",
-            all.len(),
-            n_triples
-        )));
-    }
-    if !c.done() {
-        return Err(SnapshotError::Corrupt(
-            "pattern indexes: trailing bytes after global list".into(),
-        ));
-    }
+    let all = c.vec(all_count, u32::from_le_bytes)?;
+    c.done("global list")?;
     Ok(PatternIndexes {
         spo,
         sp,
@@ -623,15 +812,12 @@ fn decode_idx(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, Snapshot
 /// V1 writers emitted entries key-sorted, so this fills the sorted-array
 /// representation sequentially (posting lists concatenate into the shared
 /// arena in file order — still no hashing on the load path).
-fn decode_idx_v1(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, SnapshotError> {
-    let mut c = Cursor::new(bytes, "pattern indexes");
-
+fn decode_idx_v1<R: Read>(c: &mut Cursor<R>) -> Result<PatternIndexes, SnapshotError> {
     let spo_count = c.count(16)?;
     let mut spo = TripleMap::default();
-    let spo_raw = c.u32_vec(spo_count * 4)?;
+    let spo_raw = c.vec(spo_count * 4, u32::from_le_bytes)?;
     for e in spo_raw.chunks_exact(4) {
         let key = (u128::from(e[0]) << 64) | (u128::from(e[1]) << 32) | u128::from(e[2]);
-        check_list(&e[3..4], n_triples)?;
         if spo.keys.last().is_some_and(|&last| key <= last) {
             return Err(unsorted("spo"));
         }
@@ -639,68 +825,53 @@ fn decode_idx_v1(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, Snaps
         spo.vals.push(e[3]);
     }
 
-    let mut arena: Vec<u32> = Vec::with_capacity(6 * n_triples);
-    let pair =
-        |c: &mut Cursor<'_>, arena: &mut Vec<u32>| -> Result<PostingMap<u64>, SnapshotError> {
-            let count = c.count(12)?;
-            let mut map = PostingMap::default();
-            for _ in 0..count {
-                let key = c.u64()?;
-                let len = c.u32()?;
-                let start = arena.len() as u64;
-                c.u32_into(len as usize, arena)?;
-                check_list(&arena[start as usize..], n_triples)?;
-                if map.keys.last().is_some_and(|&last| key <= last) {
-                    return Err(unsorted("pair-map"));
-                }
-                map.keys.push(key);
-                map.starts.push(start);
-                map.lens.push(len);
+    // Posting lists take at least 4 bytes per entry of what is left.
+    let mut arena: Vec<u32> = Vec::with_capacity((c.left() / 4) as usize);
+    let pair = |c: &mut Cursor<R>, arena: &mut Vec<u32>| {
+        let count = c.count(12)?;
+        let mut map = PostingMap::default();
+        for _ in 0..count {
+            let key = c.u64()?;
+            let len = c.u32()?;
+            let start = arena.len() as u64;
+            c.extend(len as usize, arena, u32::from_le_bytes)?;
+            if map.keys.last().is_some_and(|&last| key <= last) {
+                return Err(unsorted("pair-map"));
             }
-            Ok(map)
-        };
-    let sp = pair(&mut c, &mut arena)?;
-    let so = pair(&mut c, &mut arena)?;
-    let po = pair(&mut c, &mut arena)?;
+            map.keys.push(key);
+            map.starts.push(start);
+            map.lens.push(len);
+        }
+        Ok::<PostingMap<u64>, SnapshotError>(map)
+    };
+    let sp = pair(c, &mut arena)?;
+    let so = pair(c, &mut arena)?;
+    let po = pair(c, &mut arena)?;
 
-    let single =
-        |c: &mut Cursor<'_>, arena: &mut Vec<u32>| -> Result<PostingMap<TermId>, SnapshotError> {
-            let count = c.count(8)?;
-            let mut map = PostingMap::default();
-            for _ in 0..count {
-                let key = TermId(c.u32()?);
-                let len = c.u32()?;
-                let start = arena.len() as u64;
-                c.u32_into(len as usize, arena)?;
-                check_list(&arena[start as usize..], n_triples)?;
-                if map.keys.last().is_some_and(|&last| key <= last) {
-                    return Err(unsorted("single-map"));
-                }
-                map.keys.push(key);
-                map.starts.push(start);
-                map.lens.push(len);
+    let single = |c: &mut Cursor<R>, arena: &mut Vec<u32>| {
+        let count = c.count(8)?;
+        let mut map = PostingMap::default();
+        for _ in 0..count {
+            let key = TermId(c.u32()?);
+            let len = c.u32()?;
+            let start = arena.len() as u64;
+            c.extend(len as usize, arena, u32::from_le_bytes)?;
+            if map.keys.last().is_some_and(|&last| key <= last) {
+                return Err(unsorted("single-map"));
             }
-            Ok(map)
-        };
-    let s = single(&mut c, &mut arena)?;
-    let p = single(&mut c, &mut arena)?;
-    let o = single(&mut c, &mut arena)?;
+            map.keys.push(key);
+            map.starts.push(start);
+            map.lens.push(len);
+        }
+        Ok::<PostingMap<TermId>, SnapshotError>(map)
+    };
+    let s = single(c, &mut arena)?;
+    let p = single(c, &mut arena)?;
+    let o = single(c, &mut arena)?;
 
     let all_count = c.count(4)?;
-    let all = c.u32_vec(all_count)?;
-    check_list(&all, n_triples)?;
-    if all.len() != n_triples {
-        return Err(SnapshotError::Corrupt(format!(
-            "global list has {} entries for {} triples",
-            all.len(),
-            n_triples
-        )));
-    }
-    if !c.done() {
-        return Err(SnapshotError::Corrupt(
-            "pattern indexes: trailing bytes after global list".into(),
-        ));
-    }
+    let all = c.vec(all_count, u32::from_le_bytes)?;
+    c.done("global list")?;
     Ok(PatternIndexes {
         spo,
         sp,
@@ -714,35 +885,82 @@ fn decode_idx_v1(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, Snaps
     })
 }
 
-/// Deserializes a snapshot image produced by [`write_snapshot`] (or a
-/// version-1 image produced by an older build / [`write_snapshot_v1`]).
-///
-/// Validates the magic, version, overall framing and FNV-1a trailer before
-/// touching any section, then checks every cross-reference (term ids against
-/// the dictionary, posting entries against the triple count, ranges against
-/// the arena) while decoding.
-pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
-    let header_err = |context: &str| SnapshotError::Truncated {
+/// The decoded sections, before the cross-section checks. A section listed
+/// twice keeps its last copy.
+#[derive(Default)]
+struct Sections {
+    dict: Option<Dictionary>,
+    cols: Option<TripleColumns>,
+    idx: Option<PatternIndexes>,
+}
+
+/// Decodes every section in table order (`(id, len, stored len)` entries).
+/// Each section is checked on its own here; checks between sections wait
+/// until all are in.
+fn decode_sections<R: Read>(
+    c: &mut Cursor<R>,
+    table: &[(u32, u64, u64)],
+    version: u32,
+    out: &mut Sections,
+) -> Result<(), SnapshotError> {
+    for &(id, len, stored) in table {
+        match id {
+            SECTION_DICT => {
+                c.section(len, "dictionary");
+                out.dict = Some(decode_dict(c)?);
+            }
+            SECTION_COLS => {
+                c.section(len, "triple columns");
+                out.cols = Some(decode_cols(c, version >= 2)?);
+            }
+            SECTION_IDX => {
+                c.section(len, "pattern indexes");
+                out.idx = Some(if version >= 2 {
+                    decode_idx(c)?
+                } else {
+                    decode_idx_v1(c)?
+                });
+            }
+            // Unknown sections are additive extensions — skip them.
+            _ => {
+                c.section(len, "unknown section");
+                c.skip(len)?;
+            }
+        }
+        c.section(stored - len, "section padding");
+        c.skip(stored - len)?;
+    }
+    Ok(())
+}
+
+/// The one snapshot decoder behind [`read_snapshot`] and [`load_snapshot`]:
+/// `src` yields the `len` input bytes, read through a buffer of at most
+/// `buf_len` bytes.
+fn decode<R: Read>(mut src: R, len: u64, buf_len: usize) -> Result<KnowledgeGraph, SnapshotError> {
+    let truncated = |context: &str| SnapshotError::Truncated {
         context: context.to_string(),
     };
-    if bytes.len() < 8 {
-        return Err(header_err("magic").into());
+    let mut header = [0u8; 16];
+    if len < 8 {
+        return Err(truncated("magic"));
     }
-    if bytes[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic.into());
+    read_head(&mut src, &mut header[..8], "magic")?;
+    if header[..8] != MAGIC {
+        return Err(SnapshotError::BadMagic);
     }
-    if bytes.len() < 16 {
-        return Err(header_err("header").into());
+    if len < 16 {
+        return Err(truncated("header"));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    read_head(&mut src, &mut header[8..], "header")?;
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let version = word(8);
     if version == 0 || version > FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
-        }
-        .into());
+        });
     }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let section_count = word(12);
     // v1: 12-byte table entries, bodies packed back to back.
     // v2: 16-byte table entries, bodies zero-padded to 8-byte boundaries.
     let (entry_bytes, aligned) = if version >= 2 {
@@ -750,93 +968,111 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
     } else {
         (12, false)
     };
-    let table_end = 16 + section_count * entry_bytes;
-    if bytes.len() < table_end {
-        return Err(header_err("section table").into());
-    }
-    let mut sections = Vec::with_capacity(section_count);
-    let mut payload_len = 0usize;
-    for i in 0..section_count {
-        let at = 16 + i * entry_bytes;
-        let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len_at = at + entry_bytes - 8;
-        let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
-        let len = usize::try_from(len)
-            .map_err(|_| SnapshotError::Corrupt(format!("section {id} length overflows")))?;
-        let stored = if aligned { pad8_len(len) } else { len };
-        payload_len = payload_len
-            .checked_add(stored)
-            .ok_or_else(|| SnapshotError::Corrupt("section lengths overflow".into()))?;
-        sections.push((id, len, stored));
-    }
-    let expected_total = table_end
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| SnapshotError::Corrupt("section lengths overflow".into()))?;
-    if bytes.len() < expected_total {
-        return Err(header_err("payload").into());
-    }
-    if bytes.len() > expected_total {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after checksum",
-            bytes.len() - expected_total
-        ))
-        .into());
-    }
-    let body_end = expected_total - 8;
-    let expected = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    // v1 trailers were written with the single-chain word FNV; v2 switched
-    // to the 8-lane variant. Old files must keep verifying, so the checksum
-    // function is part of each format version.
-    let actual = if version >= 2 {
-        fnv1a_64_lanes(&bytes[..body_end])
-    } else {
-        fnv1a_64_words(&bytes[..body_end])
-    };
-    if expected != actual {
-        return Err(SnapshotError::ChecksumMismatch { expected, actual }.into());
+    let table_end = 16 + u64::from(section_count) * entry_bytes;
+    if len < table_end {
+        return Err(truncated("section table"));
     }
 
-    let mut dict_bytes = None;
-    let mut cols_bytes = None;
-    let mut idx_bytes = None;
-    let mut offset = table_end;
-    for (id, len, stored) in sections {
-        let body = &bytes[offset..offset + len];
-        offset += stored;
-        match id {
-            SECTION_DICT => dict_bytes = Some(body),
-            SECTION_COLS => cols_bytes = Some(body),
-            SECTION_IDX => idx_bytes = Some(body),
-            // Unknown sections are additive extensions — skip them.
-            _ => {}
+    // Framing: the section table must account for every input byte before
+    // any section is decoded.
+    let mut c = Cursor::new(src, len, buf_len, &header, version);
+    c.section(table_end - 16, "section table");
+    let overflow = || SnapshotError::Corrupt("section lengths overflow".into());
+    let mut table = Vec::with_capacity(section_count as usize);
+    let mut payload = 0u64;
+    for _ in 0..section_count {
+        let id = c.u32()?;
+        if aligned {
+            c.u32()?; // reserved
+        }
+        let body = c.u64()?;
+        let stored = if aligned {
+            body.checked_next_multiple_of(8).ok_or_else(overflow)?
+        } else {
+            body
+        };
+        payload = payload.checked_add(stored).ok_or_else(overflow)?;
+        table.push((id, body, stored));
+    }
+    let expected_total = table_end
+        .checked_add(payload)
+        .and_then(|n| n.checked_add(8))
+        .ok_or_else(overflow)?;
+    if len < expected_total {
+        return Err(truncated("payload"));
+    }
+    if len > expected_total {
+        return Err(SnapshotError::Corrupt(format!(
+            "{} trailing bytes after checksum",
+            len - expected_total
+        )));
+    }
+
+    let mut sections = Sections::default();
+    if let Err(e) = decode_sections(&mut c, &table, version, &mut sections) {
+        // Damaged bytes explain a structural error, so a failing trailer
+        // outranks it: hash the rest and report the mismatch if there is one.
+        return Err(match c.trailer() {
+            Err(mismatch @ SnapshotError::ChecksumMismatch { .. }) => mismatch,
+            _ => e,
+        });
+    }
+    c.trailer()?;
+
+    let missing = |name: &str| SnapshotError::Corrupt(format!("required section {name} missing"));
+    let dict = sections.dict.ok_or_else(|| missing("DICT"))?;
+    let cols = sections.cols.ok_or_else(|| missing("COLS"))?;
+    let indexes = sections.idx.ok_or_else(|| missing("IDX"))?;
+    let terms = [cols.subjects(), cols.predicates(), cols.objects()];
+    if let Some(id) = terms.iter().filter_map(|col| col.iter().max()).max() {
+        if id.index() >= dict.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "triple columns reference term {} outside dictionary (len {})",
+                id.0,
+                dict.len()
+            )));
         }
     }
-    let missing = |name: &str| SnapshotError::Corrupt(format!("required section {name} missing"));
-    let dict = decode_dict(dict_bytes.ok_or_else(|| missing("DICT"))?)?;
-    let cols = decode_cols(
-        cols_bytes.ok_or_else(|| missing("COLS"))?,
-        dict.len(),
-        aligned,
-    )?;
-    let idx_body = idx_bytes.ok_or_else(|| missing("IDX"))?;
-    let indexes = if version >= 2 {
-        decode_idx(idx_body, cols.len())?
-    } else {
-        decode_idx_v1(idx_body, cols.len())?
-    };
+    let postings = [&indexes.spo.vals, &indexes.postings, &indexes.all];
+    if let Some(&i) = postings.iter().filter_map(|list| list.iter().max()).max() {
+        if i as usize >= cols.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "posting references triple {i} outside table (len {})",
+                cols.len()
+            )));
+        }
+    }
+    if indexes.all.len() != cols.len() {
+        return Err(SnapshotError::Corrupt(format!(
+            "global list has {} entries for {} triples",
+            indexes.all.len(),
+            cols.len()
+        )));
+    }
     Ok(KnowledgeGraph::from_parts(dict, cols, indexes))
 }
 
-/// Loads a knowledge graph from a snapshot file at `path`.
+/// Deserializes a snapshot image produced by [`write_snapshot`] (or a
+/// version-1 image produced by an older build / [`write_snapshot_v1`]).
+///
+/// Runs the same streaming decoder as [`load_snapshot`]; see the module
+/// docs under *Reading* for what is checked when and which error wins.
+pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
+    Ok(decode(bytes, bytes.len() as u64, BUF_LEN)?)
+}
+
+/// Loads a knowledge graph from a snapshot file at `path`, streaming it
+/// through a fixed buffer: no whole-file image is held in memory.
 pub fn load_snapshot(path: impl AsRef<Path>) -> Result<KnowledgeGraph> {
-    let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-        specqp_common::Error::from(SnapshotError::Io(format!(
-            "reading {}: {e}",
-            path.as_ref().display()
-        )))
-    })?;
-    read_snapshot(&bytes)
+    let path = path.as_ref();
+    let io =
+        |e: &dyn std::fmt::Display| SnapshotError::Io(format!("reading {}: {e}", path.display()));
+    let file = File::open(path).map_err(|e| io(&e))?;
+    let len = file.metadata().map_err(|e| io(&e))?.len();
+    decode(file, len, BUF_LEN).map_err(|e| match e {
+        SnapshotError::Io(msg) => io(&msg).into(),
+        e => e.into(),
+    })
 }
 
 #[cfg(test)]
@@ -1057,6 +1293,33 @@ mod tests {
     }
 
     #[test]
+    fn ids_outside_dictionary_or_table_are_corrupt() {
+        let g = sample();
+        let image = write_snapshot(&g);
+        let table_end = 16 + 3 * 16;
+        let dict_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
+        let cols_len = u64::from_le_bytes(image[40..48].try_into().unwrap()) as usize;
+        let idx_len = u64::from_le_bytes(image[56..64].try_into().unwrap()) as usize;
+        let first_subject = table_end + pad8_len(dict_len) + 8;
+        let last_global = table_end + pad8_len(dict_len) + pad8_len(cols_len) + idx_len - 4;
+        for (at, id) in [
+            (first_subject, g.dictionary().len() as u32),
+            (last_global, g.len() as u32),
+        ] {
+            let mut bytes = image.clone();
+            bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+            let body_end = bytes.len() - 8;
+            let sum = fnv1a_64_lanes(&bytes[..body_end]);
+            bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+            let e = snapshot_err(read_snapshot(&bytes));
+            assert!(
+                matches!(&e, SnapshotError::Corrupt(m) if m.contains("outside")),
+                "id {id} at {at}: {e:?}"
+            );
+        }
+    }
+
+    #[test]
     fn unsorted_v2_keys_are_corrupt() {
         let g = sample();
         let mut bytes = write_snapshot(&g);
@@ -1088,6 +1351,109 @@ mod tests {
         let g2 = load_snapshot(&path).unwrap();
         assert_eq!(g2.len(), g.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Hands out 1–7 bytes per call and is interrupted every fifth call.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 5 == 0 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = (self.calls % 7 + 1).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn trickled_input_loads_like_the_one_shot_path() {
+        let g = sample();
+        for image in [write_snapshot(&g), write_snapshot_v1(&g)] {
+            let one_shot = write_snapshot(&read_snapshot(&image).unwrap());
+            // Buffers smaller than a column force values across refills.
+            for buf_len in [16, 24, 100, BUF_LEN] {
+                let src = Trickle {
+                    bytes: &image,
+                    calls: 0,
+                };
+                let g2 = decode(src, image.len() as u64, buf_len).unwrap();
+                assert_graphs_answer_identically(&g, &g2);
+                assert_eq!(write_snapshot(&g2), one_shot, "buffer {buf_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_flipped_payload_byte_is_a_checksum_mismatch() {
+        let g = sample();
+        for (image, entry_bytes) in [(write_snapshot(&g), 16), (write_snapshot_v1(&g), 12)] {
+            // Past the header and table, the framing cannot see a flip, so
+            // the trailer must: a structural error it causes ranks below.
+            let table_end = 16 + 3 * entry_bytes;
+            for at in table_end..image.len() - 8 {
+                let mut bytes = image.clone();
+                bytes[at] ^= 0x5a;
+                let e = snapshot_err(read_snapshot(&bytes));
+                assert!(
+                    matches!(e, SnapshotError::ChecksumMismatch { .. }),
+                    "flip at {at}: {e:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sections_in_any_order_load() {
+        let g = sample();
+        let image = write_snapshot(&g);
+        let table_end = 16 + 3 * 16;
+        let mut entries = Vec::new();
+        let mut offset = table_end;
+        for i in 0..3 {
+            let entry = &image[16 + i * 16..16 + (i + 1) * 16];
+            let len = u64::from_le_bytes(entry[8..].try_into().unwrap()) as usize;
+            entries.push((
+                entry.to_vec(),
+                image[offset..offset + pad8_len(len)].to_vec(),
+            ));
+            offset += pad8_len(len);
+        }
+        entries.reverse(); // IDX, COLS, DICT
+        let mut bytes = image[..16].to_vec();
+        for (entry, _) in &entries {
+            bytes.extend_from_slice(entry);
+        }
+        for (_, body) in &entries {
+            bytes.extend_from_slice(body);
+        }
+        let sum = fnv1a_64_lanes(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        let g2 = read_snapshot(&bytes).unwrap();
+        assert_graphs_answer_identically(&g, &g2);
+    }
+
+    #[test]
+    fn saving_over_a_snapshot_replaces_it_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("specqp_save_over_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("graph.snap");
+        save_snapshot(&KnowledgeGraphBuilder::new().build(), &path).unwrap();
+        let g = sample();
+        save_snapshot(&g, &path).unwrap();
+        assert_graphs_answer_identically(&g, &load_snapshot(&path).unwrap());
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, vec![std::ffi::OsString::from("graph.snap")]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

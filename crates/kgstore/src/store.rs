@@ -79,7 +79,9 @@ impl OverlaySegment {
 /// shares them — a commit clones two pointers, not the graph.
 #[derive(Debug)]
 pub struct KnowledgeGraph {
-    pub(crate) dict: Dictionary,
+    /// Shared so that a live graph layers on it and a flat
+    /// [`flattened`](Self::flattened) copy reuses it without copying terms.
+    pub(crate) dict: Arc<Dictionary>,
     pub(crate) cols: Arc<TripleColumns>,
     pub(crate) indexes: Arc<PatternIndexes>,
     pub(crate) overlay: Option<OverlaySegment>,
@@ -111,7 +113,7 @@ impl KnowledgeGraph {
         indexes: PatternIndexes,
     ) -> Self {
         KnowledgeGraph {
-            dict,
+            dict: Arc::new(dict),
             cols: Arc::new(cols),
             indexes: Arc::new(indexes),
             overlay: None,
@@ -129,7 +131,7 @@ impl KnowledgeGraph {
     ) -> Self {
         debug_assert!(base.overlay.is_none(), "overlay base must be flat");
         KnowledgeGraph {
-            dict,
+            dict: Arc::new(dict),
             cols: Arc::clone(&base.cols),
             indexes: Arc::clone(&base.indexes),
             overlay: Some(overlay),
@@ -432,14 +434,20 @@ impl KnowledgeGraph {
     /// Row order is base-then-delta, masked rows dropped; storage indexes
     /// are re-densified, which is invisible to queries (all ordering
     /// contracts are score-based). Flat graphs return a cheap `Arc`-sharing
-    /// copy. The copy keeps this version's [`epoch`](Self::epoch). This is
-    /// the compaction primitive and the snapshot-writer normal form.
+    /// copy, dictionary included. The copy keeps this version's
+    /// [`epoch`](Self::epoch). This is the compaction primitive and the
+    /// snapshot-writer normal form.
     ///
     /// [`flattened`]: specqp_common::Dictionary::flattened
     pub fn flattened(&self) -> KnowledgeGraph {
         match &self.overlay {
+            // Flat graphs come from the builder, a snapshot load or a
+            // compaction, all of which hold a flat dictionary.
             None => KnowledgeGraph {
-                dict: self.dict.flattened(),
+                dict: {
+                    debug_assert!(!self.dict.is_layered(), "flat graph, layered dictionary");
+                    Arc::clone(&self.dict)
+                },
                 cols: Arc::clone(&self.cols),
                 indexes: Arc::clone(&self.indexes),
                 overlay: None,
@@ -712,6 +720,10 @@ mod tests {
         let kg = sample();
         let flat = kg.flattened();
         assert!(!flat.has_overlay());
+        assert!(
+            Arc::ptr_eq(&flat.dict, &kg.dict),
+            "dictionary shared, not copied"
+        );
         assert_eq!(flat.len(), kg.len());
         assert_eq!(flat.dictionary().len(), kg.dictionary().len());
         let ty = flat.dictionary().lookup("type").unwrap();

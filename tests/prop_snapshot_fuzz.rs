@@ -2,12 +2,15 @@
 //! combinations thereof applied to a valid snapshot image must always come
 //! back as a typed `Error::Snapshot(_)` — never a panic, and never an
 //! attempted giant allocation (corrupt counts are rejected against the
-//! remaining section capacity before any `Vec::with_capacity`).
+//! remaining section capacity before any `Vec::with_capacity`). Every case
+//! runs twice: through `read_snapshot` on the bytes and through
+//! `load_snapshot` on a file holding them, which must agree.
 
-use kgstore::snapshot::{read_snapshot, write_snapshot};
-use kgstore::KnowledgeGraphBuilder;
+use kgstore::snapshot::{load_snapshot, read_snapshot, write_snapshot};
+use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder};
 use proptest::prelude::*;
-use specqp_common::Error;
+use specqp_common::{Error, Result};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 fn snapshot_image() -> &'static Vec<u8> {
@@ -30,10 +33,30 @@ fn snapshot_image() -> &'static Vec<u8> {
     })
 }
 
+/// Loads `bytes` both from memory and from a file. The two paths run one
+/// decoder, so they must return the same graph or the same error.
+fn load_both_ways(bytes: &[u8]) -> Result<KnowledgeGraph> {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "specqp_fuzz_{}_{}.snap",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).expect("write the fuzz case");
+    let from_file = load_snapshot(&path);
+    std::fs::remove_file(&path).ok();
+    let from_bytes = read_snapshot(bytes);
+    match (&from_bytes, &from_file) {
+        (Ok(a), Ok(b)) => assert_eq!(write_snapshot(a), write_snapshot(b)),
+        (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err()),
+    }
+    from_bytes
+}
+
 /// Asserts that loading `bytes` fails with a typed snapshot error (the
 /// load itself happening inside the call — any panic fails the test run).
-fn assert_typed_failure(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
-    match read_snapshot(bytes) {
+fn assert_typed_failure(bytes: &[u8], what: &str) -> std::result::Result<(), TestCaseError> {
+    match load_both_ways(bytes) {
         Err(Error::Snapshot(_)) => Ok(()),
         Err(other) => Err(TestCaseError::fail(format!(
             "{what}: expected Error::Snapshot, got {other:?}"
@@ -112,7 +135,7 @@ proptest! {
         bytes[at] ^= mask;
         let sum = specqp_common::fnv1a_64_lanes(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
-        match read_snapshot(&bytes) {
+        match load_both_ways(&bytes) {
             Ok(_) | Err(Error::Snapshot(_)) => {}
             Err(other) => {
                 return Err(TestCaseError::fail(format!(
@@ -126,6 +149,6 @@ proptest! {
 #[test]
 fn pristine_image_still_loads() {
     // Guard for the fuzz fixtures themselves: the uncorrupted image loads.
-    let g = read_snapshot(snapshot_image()).expect("pristine snapshot loads");
+    let g = load_both_ways(snapshot_image()).expect("pristine snapshot loads");
     assert_eq!(g.len(), 41);
 }
